@@ -10,16 +10,9 @@ import tempfile
 import numpy as np
 
 from vimu.data import Dataset, SynthConfig, make_split, synth_generate, synthetic_profile
-from vimu.gan import (
-    GanTrainConfig,
-    GeneratorBundle,
-    GeneratorConfig,
-    data_fingerprint,
-    generate_virtual,
-    train_gan,
-)
-from vimu.pipeline import extract_windows
-from vimu.sigproc import PreprocSpec, apply_norm, fit_stats
+from vimu.gan import GanTrainConfig, generate_virtual, normalize_generator_inputs
+from vimu.pipeline import extract_windows, train_generator_bundle
+from vimu.sigproc import PreprocSpec
 
 with tempfile.TemporaryDirectory() as root:
     synth_generate(SynthConfig(seed=0), root)
@@ -31,25 +24,15 @@ with tempfile.TemporaryDirectory() as root:
 
     train_mask = np.isin(table.trials, plan.gan_train_trials)
     held_mask = np.isin(table.trials, plan.clf_test_trials)
-    semg_stats = fit_stats(table.semg_gan[train_mask].reshape(-1, table.semg_gan.shape[2]))
-    imu_stats = fit_stats(table.imu[train_mask].reshape(-1, table.imu.shape[2]))
-    semg_norm = apply_norm(table.semg_gan[train_mask], semg_stats, "zscore").astype(np.float32)
-    imu_norm = apply_norm(table.imu[train_mask], imu_stats, "minmax_pm1").astype(np.float32)
-
     cfg = GanTrainConfig(epochs=200, batch_size=16, max_pairs=384,
                          generator_maps=(8, 4, 1), seed=0)
-    print(f"training {cfg.epochs} epochs on {min(cfg.max_pairs, len(semg_norm))} pairs ...")
-    gen_params, disc_params, history = train_gan(semg_norm, imu_norm, cfg)
+    print(f"training {cfg.epochs} epochs on {min(cfg.max_pairs, int(train_mask.sum()))} pairs ...")
+    # Fits the cohort's normalization stats, trains, and bundles the generator with them.
+    bundle, _, history = train_generator_bundle(table.semg_gan[train_mask], table.imu[train_mask], cfg)
     print(f"final D(real) {history['d_real'][-1]:.2f}, D(fake) {history['d_fake'][-1]:.2f}, "
           f"adversarial value {history['value'][-1]:.3f}")
 
-    k, c1 = table.semg_gan.shape[1:]
-    bundle = GeneratorBundle(
-        GeneratorConfig(k, c1, table.imu.shape[2], tconv_maps=cfg.generator_maps),
-        gen_params, semg_stats, imu_stats, seed=cfg.seed,
-        data_fingerprint=data_fingerprint(semg_norm, imu_norm),
-    )
-    held_norm = apply_norm(table.semg_gan[held_mask], semg_stats, "zscore").astype(np.float32)
+    held_norm = normalize_generator_inputs(bundle, table.semg_gan[held_mask]).astype(np.float32)
     virtual = generate_virtual(bundle, held_norm)
     real = table.imu[held_mask]
     corrs = [float(np.corrcoef(virtual[:, :, c].ravel(), real[:, :, c].ravel())[0, 1])

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import data as vdata
 from . import fusion, gan, pipeline, sigproc
+from .codec import sidecar
 from .errors import ConfigError, DataError, DivergenceError
 
 
@@ -143,28 +144,13 @@ def _cmd_train_gan(args) -> int:
     table = pipeline.load_window_table(args.windows)
     if table.imu is None:
         raise DataError("generator training needs motion windows in the table")
-    maps = tuple(int(v) for v in args.generator_maps.split(","))
     cfg = gan.GanTrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
         dropout=args.dropout, loss_variant=args.loss_variant, seed=args.seed,
-        max_pairs=args.max_pairs, generator_maps=maps,
+        max_pairs=args.max_pairs, generator_maps=tuple(int(v) for v in args.generator_maps.split(",")),
     )
-    semg_stats = sigproc.fit_stats(table.semg_gan.reshape(-1, table.semg_gan.shape[-1]))
-    imu_stats = sigproc.fit_stats(table.imu.reshape(-1, table.imu.shape[-1]))
-    semg_norm = sigproc.apply_norm(table.semg_gan, semg_stats, "zscore").astype(np.float32)
-    imu_norm = sigproc.apply_norm(table.imu, imu_stats, "minmax_pm1").astype(np.float32)
-    gen_params, disc_params, history = gan.train_gan(semg_norm, imu_norm, cfg)
-    k, c1 = table.semg_gan.shape[1], table.semg_gan.shape[2]
-    c2 = table.imu.shape[2]
-    bundle = gan.GeneratorBundle(
-        cfg=gan.GeneratorConfig(k, c1, c2, tconv_maps=maps, skip_final_bn=cfg.skip_final_bn),
-        params=gen_params, semg_stats=semg_stats, imu_stats=imu_stats, seed=cfg.seed,
-        data_fingerprint=gan.data_fingerprint(semg_norm, imu_norm),
-    )
-    gan.save_generator_bundle(args.out, bundle, disc_params,
-                              gan.DiscriminatorConfig.from_dict(history["discriminator"]))
-    Path(args.out, "history.json").write_text(json.dumps(history, indent=2) + "\n", encoding="utf-8")
-    print(f"trained generator on {semg_norm.shape[0]} pairs; bundle in {args.out}")
+    bundle, _, _ = pipeline.train_generator_bundle(table.semg_gan, table.imu, cfg, args.out)
+    print(f"trained generator on {bundle.extra['pairs']} pairs; bundle in {args.out}")
     return 0
 
 
@@ -249,6 +235,8 @@ def _cmd_evaluate(args) -> int:
 def _cmd_run(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{args.config} must hold a JSON object, got {type(raw).__name__}")
     if args.dataset is not None:
         raw["dataset"] = args.dataset
     if args.out is not None:
@@ -270,8 +258,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = pipeline.MetricsReport.from_dict(json.load(fh))
+    with sidecar(args.report) as meta:
+        report = pipeline.MetricsReport.from_dict(meta)
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     written = pipeline.emit_report(report, args.out, formats)
     print("wrote " + ", ".join(str(p) for p in written))

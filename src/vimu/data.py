@@ -22,11 +22,12 @@ import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, FormatError
 from .sigproc import MultichannelSeries
 
@@ -301,8 +302,10 @@ class DatasetManifest:
     def __post_init__(self):
         if self.semg_channels < 1:
             raise DataError("manifest needs >= 1 muscle channel")
-        keys = [(e.subject, e.gesture, e.trial) for e in self.index]
-        if len(keys) != len(set(keys)):
+        # The index is never mutated after construction, so the lookup table
+        # built here stays in step with it.
+        self._by_key = {(e.subject, e.gesture, e.trial): e for e in self.index}
+        if len(self._by_key) != len(self.index):
             raise DataError("manifest index holds duplicate (subject, gesture, trial) entries")
 
     @property
@@ -310,10 +313,12 @@ class DatasetManifest:
         return len(self.gesture_labels)
 
     def entry(self, subject: int, gesture: int, trial: int) -> ManifestEntry:
-        for e in self.index:
-            if (e.subject, e.gesture, e.trial) == (subject, gesture, trial):
-                return e
-        raise DataError(f"no trial indexed for subject {subject}, gesture {gesture}, trial {trial}")
+        try:
+            return self._by_key[(subject, gesture, trial)]
+        except KeyError:
+            raise DataError(
+                f"no trial indexed for subject {subject}, gesture {gesture}, trial {trial}"
+            ) from None
 
     def to_dict(self) -> dict:
         return {
@@ -374,8 +379,8 @@ class Dataset:
         manifest_path = self.directory / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"no manifest.json under {self.directory}")
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            self.manifest = DatasetManifest.from_dict(json.load(fh))
+        with sidecar(manifest_path) as meta:
+            self.manifest = DatasetManifest.from_dict(meta)
 
     def load_trial(self, subject: int, gesture: int, trial: int) -> TrialRecord:
         e = self.manifest.entry(subject, gesture, trial)
@@ -585,7 +590,7 @@ def manifest_for_profile(profile: DatabaseProfile) -> DatasetManifest:
 # synthetic correlated dataset (the desk-scale oracle)
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(DictCodec):
     """Seeded generator of correlated muscle/motion trials.
 
     Per gesture there is a smooth latent envelope; motion channels are a
@@ -617,13 +622,6 @@ class SynthConfig:
         for name in ("subjects", "gestures", "trials", "semg_channels", "imu_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synthetic config field {name} must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
 
 
 def _synth_rng(cfg: SynthConfig, *key) -> np.random.Generator:

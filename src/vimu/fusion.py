@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, DivergenceError
 from .nn import checkpoint
 from .nn.layers import LayerSpec, ParamSet, backprop, init_stack_params, run_stack, stack_output_shape
@@ -25,7 +26,7 @@ from .sigproc import ChannelStats
 
 
 @dataclass(frozen=True)
-class StreamConfig:
+class StreamConfig(DictCodec):
     """One modality stream. Defaults follow the full-scale architecture."""
 
     window_frames: int
@@ -41,16 +42,9 @@ class StreamConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("stream dropout must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StreamConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class FusionConfig:
+class FusionConfig(DictCodec):
     """Fusion head: hidden width and the number of gesture classes."""
 
     classes: int
@@ -61,13 +55,6 @@ class FusionConfig:
             raise ConfigError("need at least 2 gesture classes")
         if self.hidden_units < 1:
             raise ConfigError("fusion hidden width must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {"classes": self.classes, "hidden_units": self.hidden_units}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FusionConfig":
-        return cls(**d)
 
 
 def stream_layers(cfg: StreamConfig) -> list:
@@ -187,13 +174,13 @@ def stream_spatial_shape(cfg: StreamConfig) -> tuple:
 
 
 @dataclass
-class ClfTrainConfig:
+class ClfTrainConfig(DictCodec):
     """Step-decayed SGD schedule for the recognition models."""
 
     batch_size: int = 64
     epochs: int = 28
     initial_lr: float = 0.1
-    decay_epochs: tuple = (16, 24)
+    decay_epochs: tuple[int, ...] = (16, 24)
     lr_divisor: float = 10.0
     pretrain: bool = False
     seed: int = 0
@@ -203,18 +190,6 @@ class ClfTrainConfig:
             raise ConfigError("need epochs >= 0 and batch size >= 2")
         if any(d >= self.epochs for d in self.decay_epochs) and self.epochs > 0:
             raise ConfigError("decay epochs must lie before the final epoch")
-
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["decay_epochs"] = list(self.decay_epochs)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClfTrainConfig":
-        d = dict(d)
-        if "decay_epochs" in d:
-            d["decay_epochs"] = tuple(d["decay_epochs"])
-        return cls(**d)
 
 
 def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainConfig):
@@ -323,10 +298,10 @@ def save_classifier_bundle(directory, model: FusionModel, stream_stats: dict, se
 def load_classifier_bundle(directory):
     """Rebuild a model (and its input stats) from a saved bundle."""
     directory = Path(directory)
-    with open(directory / "classifier.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    stream_cfgs = {name: StreamConfig.from_dict(d) for name, d in meta["streams"].items()}
-    fusion_cfg = FusionConfig.from_dict(meta["fusion"])
+    with sidecar(directory / "classifier.json") as meta:
+        stream_cfgs = {name: StreamConfig.from_dict(d) for name, d in meta["streams"].items()}
+        fusion_cfg = FusionConfig.from_dict(meta["fusion"])
+        stats = {name: ChannelStats.from_dict(d) for name, d in meta["stream_stats"].items()}
     names = list(stream_cfgs)
     if names == ["semg"]:
         model = build_unimodal(stream_cfgs["semg"], fusion_cfg, seed=0)
@@ -336,5 +311,4 @@ def load_classifier_bundle(directory):
         raise DataError(f"unsupported stream layout {names}")
     model.params.load_state_dict(checkpoint.load_tensors(directory / "classifier.ckpt"))
     model.params.init_record = meta.get("init_record", {})
-    stats = {name: ChannelStats.from_dict(d) for name, d in meta["stream_stats"].items()}
     return model, stats, meta

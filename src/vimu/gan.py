@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, DivergenceError, StatsMismatchError
 from .nn import checkpoint
 from .nn.layers import (
@@ -36,7 +37,7 @@ from .sigproc import ChannelStats, apply_norm, invert_norm
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(DictCodec):
     """Geometry of the window-to-window generator.
 
     ``tconv_maps`` defaults to the full-scale stack (32, 16, 1); smaller
@@ -48,7 +49,7 @@ class GeneratorConfig:
     window_frames: int
     semg_channels: int
     imu_channels: int
-    tconv_maps: tuple = (32, 16, 1)
+    tconv_maps: tuple[int, ...] = (32, 16, 1)
     skip_final_bn: bool = False
 
     def __post_init__(self):
@@ -60,21 +61,6 @@ class GeneratorConfig:
     @property
     def dense_units(self) -> int:
         return self.window_frames * self.imu_channels
-
-    def to_dict(self) -> dict:
-        return {
-            "window_frames": self.window_frames,
-            "semg_channels": self.semg_channels,
-            "imu_channels": self.imu_channels,
-            "tconv_maps": list(self.tconv_maps),
-            "skip_final_bn": self.skip_final_bn,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorConfig":
-        d = dict(d)
-        d["tconv_maps"] = tuple(d.get("tconv_maps", (32, 16, 1)))
-        return cls(**d)
 
 
 def generator_layers(cfg: GeneratorConfig) -> list:
@@ -108,7 +94,7 @@ PAIR_HIDDEN_UNITS = 32
 
 
 @dataclass(frozen=True)
-class DiscriminatorConfig:
+class DiscriminatorConfig(DictCodec):
     """Geometry of the real-vs-generated critic.
 
     The motion window always passes one 3x3 stride-3 valid convolution
@@ -137,13 +123,6 @@ class DiscriminatorConfig:
             )
         if self.semg_channels < 0:
             raise ConfigError("semg_channels must be >= 0")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DiscriminatorConfig":
-        return cls(**d)
 
 
 def _critic_body(cfg: DiscriminatorConfig) -> list:
@@ -238,7 +217,7 @@ def gan_value(d_real, d_fake) -> float:
 
 
 @dataclass
-class GanTrainConfig:
+class GanTrainConfig(DictCodec):
     """Adversarial training hyperparameters.
 
     ``max_pairs`` optionally subsamples the training pairs (desk-scale runs);
@@ -266,7 +245,7 @@ class GanTrainConfig:
     loss_variant: str = "nonsaturating"
     seed: int = 0
     max_pairs: int | None = None
-    generator_maps: tuple = (32, 16, 1)
+    generator_maps: tuple[int, ...] = (32, 16, 1)
     discriminator_maps: int = 16
     skip_final_bn: bool = False
     snapshot_every: int | None = None
@@ -281,26 +260,12 @@ class GanTrainConfig:
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1 when set")
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["generator_maps"] = list(self.generator_maps)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GanTrainConfig":
-        d = dict(d)
-        if "generator_maps" in d:
-            d["generator_maps"] = tuple(d["generator_maps"])
-        return cls(**d)
-
 
 def _seed_of(seq: np.random.SeedSequence) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig,
-              gen_cfg: GeneratorConfig | None = None,
-              disc_cfg: DiscriminatorConfig | None = None):
+def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     """Alternating adversarial training on normalized window pairs.
 
     Inputs must already be normalized (muscle windows z-scored, motion
@@ -309,9 +274,10 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig,
     batch it maximizes the adversarial value via cross-entropy on real
     (label 1) and generated (label 0) pairs, then the generator takes one
     step on its own adversarial loss. A step of one network never touches
-    the other's parameters or running statistics. Returns (generator
-    params, discriminator params, history); ``history["discriminator"]``
-    records the critic's config, which rebuilds the returned critic.
+    the other's parameters or running statistics. Both geometries follow
+    from the window pairs and ``cfg``. Returns (generator params,
+    discriminator params, history); ``history["discriminator"]`` records the
+    critic's config, which rebuilds the returned critic.
     """
     semg = np.asarray(semg_windows, dtype=np.float32)
     imu = np.asarray(imu_windows, dtype=np.float32)
@@ -319,16 +285,10 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig,
         raise DataError("paired windows must share (count, frames) and be (n, k, C) arrays")
     n, k, c1 = semg.shape
     c2 = imu.shape[2]
-    if gen_cfg is None:
-        gen_cfg = GeneratorConfig(k, c1, c2, tconv_maps=cfg.generator_maps,
-                                  skip_final_bn=cfg.skip_final_bn)
-    if disc_cfg is None:
-        disc_cfg = DiscriminatorConfig(k, c2, conv_maps=cfg.discriminator_maps,
-                                       dropout=cfg.dropout, semg_channels=c1)
-    if (gen_cfg.window_frames, gen_cfg.semg_channels, gen_cfg.imu_channels) != (k, c1, c2):
-        raise DataError("generator config geometry does not match the window pairs")
-    if (disc_cfg.window_frames, disc_cfg.semg_channels, disc_cfg.imu_channels) != (k, c1, c2):
-        raise DataError("discriminator config must be a pair critic matching the window pairs")
+    gen_cfg = GeneratorConfig(k, c1, c2, tconv_maps=cfg.generator_maps,
+                              skip_final_bn=cfg.skip_final_bn)
+    disc_cfg = DiscriminatorConfig(k, c2, conv_maps=cfg.discriminator_maps,
+                                   dropout=cfg.dropout, semg_channels=c1)
 
     root = np.random.SeedSequence(cfg.seed)
     s_gen, s_disc, s_shuffle, s_dropout = root.spawn(4)
@@ -471,9 +431,8 @@ def data_fingerprint(*arrays) -> str:
     return digest.hexdigest()
 
 
-def normalize_generator_inputs(bundle_or_stats, semg_windows) -> np.ndarray:
-    stats = bundle_or_stats.semg_stats if isinstance(bundle_or_stats, GeneratorBundle) else bundle_or_stats
-    return apply_norm(np.asarray(semg_windows), stats, "zscore")
+def normalize_generator_inputs(bundle: GeneratorBundle, semg_windows) -> np.ndarray:
+    return apply_norm(np.asarray(semg_windows), bundle.semg_stats, "zscore")
 
 
 def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = 1024) -> np.ndarray:
@@ -531,8 +490,8 @@ def save_generator_bundle(directory, bundle: GeneratorBundle, disc_params: Param
 def load_discriminator(directory):
     """Rebuild the critic a bundle saved: (its recorded config, params)."""
     directory = Path(directory)
-    with open(directory / "generator.json", "r", encoding="utf-8") as fh:
-        cfg = DiscriminatorConfig.from_dict(json.load(fh)["discriminator"])
+    with sidecar(directory / "generator.json") as meta:
+        cfg = DiscriminatorConfig.from_dict(meta["discriminator"])
     params = build_discriminator(cfg, seed=0)
     params.load_state_dict(checkpoint.load_tensors(directory / "discriminator.ckpt"))
     return cfg, params
@@ -540,17 +499,18 @@ def load_discriminator(directory):
 
 def load_generator_bundle(directory) -> GeneratorBundle:
     directory = Path(directory)
-    with open(directory / "generator.json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    cfg = GeneratorConfig.from_dict(meta["generator"])
+    with sidecar(directory / "generator.json") as meta:
+        cfg = GeneratorConfig.from_dict(meta["generator"])
+        semg_stats = ChannelStats.from_dict(meta["semg_stats"])
+        imu_stats = ChannelStats.from_dict(meta["imu_stats"])
     params = build_generator(cfg, seed=0)
     params.load_state_dict(checkpoint.load_tensors(directory / "generator.ckpt"))
     params.init_record = meta.get("init_record", {})
     return GeneratorBundle(
         cfg=cfg,
         params=params,
-        semg_stats=ChannelStats.from_dict(meta["semg_stats"]),
-        imu_stats=ChannelStats.from_dict(meta["imu_stats"]),
+        semg_stats=semg_stats,
+        imu_stats=imu_stats,
         seed=meta.get("seed", 0),
         data_fingerprint=meta.get("data_fingerprint", ""),
         extra=meta.get("extra", {}),

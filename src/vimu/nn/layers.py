@@ -28,7 +28,6 @@ LAYER_KINDS = (
     "softmax",
     "dropout",
     "flatten",
-    "concat",
 )
 
 _PARAMETRIC = ("conv2d", "tconv2d", "locally_connected", "dense", "batchnorm")
@@ -210,8 +209,6 @@ def layer_output_shape(spec: LayerSpec, in_shape: tuple) -> tuple:
         return (spec.units,)
     if kind == "flatten":
         return (int(np.prod(in_shape)),)
-    if kind == "concat":
-        raise ConfigError("concat joins stacks; it cannot appear inside one")
     return in_shape
 
 

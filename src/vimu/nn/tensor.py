@@ -55,9 +55,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self):
         """Backpropagate from a scalar node, accumulating into leaf ``.grad``."""
         if self.data.size != 1:
@@ -360,16 +357,6 @@ def sum_all(x: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(x, np.full_like(x.data, float(g)))
-
-    return Tensor(y, parents=(x,), backward_fn=bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    y = np.asarray(x.data.mean(), dtype=x.data.dtype)
-    n = x.data.size
-
-    def bwd(g):
-        _accum(x, np.full_like(x.data, float(g) / n))
 
     return Tensor(y, parents=(x,), backward_fn=bwd)
 

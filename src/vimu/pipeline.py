@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import sigproc
+from .codec import DictCodec
 from .data import Dataset, DatabaseProfile, SplitPlan, make_split, resolve_profile
 from .errors import ConfigError, DataError, LeakageError
 from .fusion import (
@@ -54,7 +55,7 @@ def derive_seed(base: int, *parts) -> int:
 
 
 @dataclass
-class ClassifierSpec:
+class ClassifierSpec(DictCodec):
     """Network widths for the recognition models (full scale by default)."""
 
     conv_maps: int = 64
@@ -63,33 +64,26 @@ class ClassifierSpec:
     fusion_hidden: int = 512
     dropout: float = 0.5
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClassifierSpec":
-        return cls(**d)
-
     def stream(self, window_frames: int, channels: int) -> StreamConfig:
         return StreamConfig(window_frames, channels, self.conv_maps, self.lc_maps,
                             self.dense_units, self.dropout)
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything one ``run`` needs; serializable to a flat JSON document."""
+class ExperimentConfig(DictCodec):
+    """Everything one ``run`` needs; serializable to a JSON document."""
 
     dataset: str
     out_dir: str = "out"
     profile: str = "synthetic"
     experiment: str = "exp2"
-    arms: tuple = ARMS
+    arms: tuple[str, ...] = ARMS
     seed: int = 0
     preproc: PreprocSpec = field(default_factory=PreprocSpec)
     gan: GanTrainConfig = field(default_factory=GanTrainConfig)
     classifier: ClfTrainConfig = field(default_factory=ClfTrainConfig)
     network: ClassifierSpec = field(default_factory=ClassifierSpec)
-    report_formats: tuple = ("json", "csv", "svg")
+    report_formats: tuple[str, ...] = ("json", "csv", "svg")
 
     def __post_init__(self):
         if not self.arms:
@@ -99,47 +93,6 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown arm {arm!r}")
         if self.experiment not in ("exp1", "exp2"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "out_dir": self.out_dir,
-            "profile": self.profile,
-            "experiment": self.experiment,
-            "arms": list(self.arms),
-            "seed": self.seed,
-            "preproc": self.preproc.to_dict(),
-            "gan": self.gan.to_dict(),
-            "classifier": self.classifier.to_dict(),
-            "network": self.network.to_dict(),
-            "report_formats": list(self.report_formats),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {
-            "dataset", "out_dir", "profile", "experiment", "arms", "seed",
-            "preproc", "gan", "classifier", "network", "report_formats",
-        }
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "dataset" not in d:
-            raise ConfigError("config needs a 'dataset' path")
-        return cls(
-            dataset=d["dataset"],
-            out_dir=d.get("out_dir", "out"),
-            profile=d.get("profile", "synthetic"),
-            experiment=d.get("experiment", "exp2"),
-            arms=tuple(d.get("arms", ARMS)),
-            seed=int(d.get("seed", 0)),
-            preproc=PreprocSpec.from_dict(d["preproc"]) if "preproc" in d else PreprocSpec(),
-            gan=GanTrainConfig.from_dict(d["gan"]) if "gan" in d else GanTrainConfig(),
-            classifier=ClfTrainConfig.from_dict(d["classifier"]) if "classifier" in d else ClfTrainConfig(),
-            network=ClassifierSpec.from_dict(d["network"]) if "network" in d else ClassifierSpec(),
-            report_formats=tuple(d.get("report_formats", ("json", "csv", "svg"))),
-        )
 
     def fingerprint(self) -> str:
         # Output location does not define the experiment.
@@ -499,6 +452,42 @@ def _fit_stream_stats(arrays: np.ndarray):
     return fit_stats(arrays.reshape(-1, arrays.shape[-1]))
 
 
+def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
+                           cfg: GanTrainConfig, out_dir=None):
+    """Train the generator on one cohort's raw (muscle, motion) window pairs.
+
+    Fits the cohort's channel stats, z-scores the muscle windows, scales the
+    motion windows to [-1, 1] and runs ``train_gan``. The bundle records the
+    stats, the seed, the data fingerprint and the epochs/pairs provenance.
+    With ``out_dir`` set it also writes the bundle, the trained critic with
+    its recorded config, and ``history.json``. Returns (bundle,
+    discriminator params, history).
+    """
+    semg_stats = _fit_stream_stats(semg_windows)
+    imu_stats = _fit_stream_stats(imu_windows)
+    semg_norm = apply_norm(semg_windows, semg_stats, "zscore").astype(np.float32)
+    imu_norm = apply_norm(imu_windows, imu_stats, "minmax_pm1").astype(np.float32)
+    gen_params, disc_params, history = train_gan(semg_norm, imu_norm, cfg)
+    n, k, c1 = semg_norm.shape
+    bundle = GeneratorBundle(
+        cfg=GeneratorConfig(k, c1, imu_norm.shape[2], tconv_maps=cfg.generator_maps,
+                            skip_final_bn=cfg.skip_final_bn),
+        params=gen_params,
+        semg_stats=semg_stats,
+        imu_stats=imu_stats,
+        seed=cfg.seed,
+        data_fingerprint=data_fingerprint(semg_norm, imu_norm),
+        extra={"epochs": cfg.epochs, "pairs": n},
+    )
+    if out_dir is not None:
+        save_generator_bundle(out_dir, bundle, disc_params,
+                              DiscriminatorConfig.from_dict(history["discriminator"]))
+        Path(out_dir, "history.json").write_text(
+            json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+    return bundle, disc_params, history
+
+
 def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> MetricsReport:
     """Run the requested arms end to end and aggregate per-subject accuracy."""
     dataset = Dataset(cfg.dataset)
@@ -526,30 +515,10 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
         gan_mask = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
         gan_table = table.select(gan_mask)
         assert_no_leakage(plan, gan_table.subjects, gan_table.trials, "gan")
-        semg_stats = _fit_stream_stats(gan_table.semg_gan)
-        imu_stats = _fit_stream_stats(gan_table.imu)
-        semg_norm = apply_norm(gan_table.semg_gan, semg_stats, "zscore").astype(np.float32)
-        imu_norm = apply_norm(gan_table.imu, imu_stats, "minmax_pm1").astype(np.float32)
-        gan_cfg = GanTrainConfig.from_dict({**cfg.gan.to_dict(), "seed": derive_seed(cfg.seed, "gan")})
-        gen_params, disc_params, gan_history = train_gan(semg_norm, imu_norm, gan_cfg)
-        bundle = GeneratorBundle(
-            cfg=GeneratorConfig(k, table.semg_gan.shape[2], table.imu.shape[2],
-                                tconv_maps=gan_cfg.generator_maps,
-                                skip_final_bn=gan_cfg.skip_final_bn),
-            params=gen_params,
-            semg_stats=semg_stats,
-            imu_stats=imu_stats,
-            seed=gan_cfg.seed,
-            data_fingerprint=data_fingerprint(semg_norm, imu_norm),
-            extra={"epochs": gan_cfg.epochs, "pairs": int(semg_norm.shape[0])},
-        )
-        if write_outputs:
-            save_generator_bundle(out_dir / "gan", bundle, disc_params,
-                                  DiscriminatorConfig.from_dict(gan_history["discriminator"]))
-            (out_dir / "gan" / "history.json").write_text(
-                json.dumps(gan_history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        semg_for_generator = apply_norm(table.semg_gan, semg_stats, "zscore").astype(np.float32)
+        gan_cfg = replace(cfg.gan, seed=derive_seed(cfg.seed, "gan"))
+        bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg,
+                                              out_dir / "gan" if write_outputs else None)
+        semg_for_generator = apply_norm(table.semg_gan, bundle.semg_stats, "zscore").astype(np.float32)
         virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
 
     rec_mask = np.isin(table.subjects, plan.recognition_subjects)
@@ -579,9 +548,8 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             assert_no_leakage(plan, table.subjects[train_mask], table.trials[train_mask], "clf_train")
             pretrained = _build_model(cfg, names, normalized, k, classes,
                                       derive_seed(cfg.seed, arm, "pretrain"))
-            pool_cfg = ClfTrainConfig.from_dict(
-                {**cfg.classifier.to_dict(), "seed": derive_seed(cfg.seed, arm, "pretrain", "sgd"), "pretrain": False}
-            )
+            pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"),
+                               pretrain=False)
             train_classifier(pretrained, [normalized[n][train_mask] for n in names],
                              table.labels[train_mask], pool_cfg)
 
@@ -596,9 +564,8 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
                 model = pretrained.clone()
             else:
                 model = _build_model(cfg, names, normalized, k, classes, seed)
-            subj_cfg = ClfTrainConfig.from_dict(
-                {**cfg.classifier.to_dict(), "seed": derive_seed(cfg.seed, arm, "sgd", subject), "pretrain": False}
-            )
+            subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject),
+                               pretrain=False)
             train_classifier(model, [normalized[n][s_train] for n in names],
                              table.labels[s_train], subj_cfg)
             preds, _ = predict(model, [normalized[n][s_test] for n in names])

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import DictCodec
 from .errors import ModalityError, StatsMismatchError
 
 MODALITIES = ("semg", "acc", "euler")
@@ -272,7 +273,7 @@ def invert_norm(arr: np.ndarray, stats: ChannelStats, mode: str) -> np.ndarray:
 # named preprocessing presets
 
 @dataclass(frozen=True)
-class PreprocSpec:
+class PreprocSpec(DictCodec):
     """Window, step, decimation, and filter parameters for both chains."""
 
     window_ms: float = 200.0
@@ -281,20 +282,6 @@ class PreprocSpec:
     rms_ms: float = 100.0
     mavg_ms: float = 100.0
     butter_cutoff_hz: float = 1.0
-
-    def to_dict(self) -> dict:
-        return {
-            "window_ms": self.window_ms,
-            "step_ms": self.step_ms,
-            "decimation": self.decimation,
-            "rms_ms": self.rms_ms,
-            "mavg_ms": self.mavg_ms,
-            "butter_cutoff_hz": self.butter_cutoff_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PreprocSpec":
-        return cls(**d)
 
 
 def gan_chain_semg(s: MultichannelSeries, spec: PreprocSpec) -> MultichannelSeries:

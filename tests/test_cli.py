@@ -1,12 +1,21 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+from test_pipeline import tiny_config
 
 from vimu.cli import main
+from vimu.data import Dataset, SynthConfig, make_split, resolve_profile, synth_generate
 from vimu.gan import load_discriminator
-from vimu.pipeline import load_window_table
+from vimu.pipeline import (
+    derive_seed,
+    extract_windows,
+    load_window_table,
+    run_experiment,
+    save_window_table,
+)
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +159,111 @@ class TestRun:
         assert main(["report", "--report", str(out / "report.json"), "--out", str(out2),
                      "--formats", "csv,svg"]) == 0
         assert (out2 / "report.csv").exists() and (out2 / "report.svg").exists()
+
+
+@pytest.fixture(scope="module")
+def gan_bundle(windows_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_gan") / "gan"
+    assert main(["train-gan", "--windows", str(windows_file), "--out", str(out), "--epochs", "1",
+                 "--batch-size", "8", "--max-pairs", "16", "--generator-maps", "4,2,1"]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def clf_bundle(windows_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli_clf") / "clf"
+    assert main(["train-clf", "--windows", str(windows_file), "--out", str(out), "--epochs", "1",
+                 "--batch-size", "16", "--conv-maps", "2", "--lc-maps", "2", "--dense-units", "8",
+                 "--fusion-hidden", "8"]) == 0
+    return out
+
+
+def _section(name, **values):
+    return lambda cfg: {**cfg, name: {**cfg[name], **values}}
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+# case: (what it corrupts, how, expected exit code, text the message must name)
+BAD_INPUTS = {
+    "unknown gan key": ("config", _section("gan", bogus=1), 1, "bogus"),
+    "window_ms not a number": ("config", _section("preproc", window_ms="abc"), 1, "window_ms"),
+    "decay_epochs not a list": ("config", _section("classifier", decay_epochs=5), 1, "decay_epochs"),
+    "max_pairs a float": ("config", _section("gan", max_pairs=1.5), 1, "max_pairs"),
+    "network not an object": ("config", lambda cfg: {**cfg, "network": [2, 2]}, 1, "ClassifierSpec"),
+    "arms not a list": ("config", lambda cfg: {**cfg, "arms": "unimodal"}, 1, "arms"),
+    "top-level array": ("config", lambda cfg: [cfg], 1, "JSON object"),
+    "generator sidecar lacks imu_stats": ("generator.json", _without("imu_stats"), 2, "imu_stats"),
+    "generator sidecar lacks generator": ("generator.json", _without("generator"), 2, "generator"),
+    "generator sidecar not an object": ("generator.json", lambda meta: [meta], 2, "JSON object"),
+    "classifier sidecar lacks stream_stats": ("classifier.json", _without("stream_stats"), 2,
+                                              "stream_stats"),
+    "classifier sidecar lacks fusion": ("classifier.json", _without("fusion"), 2, "fusion"),
+    "manifest lacks index": ("manifest.json", _without("index"), 2, "index"),
+    "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
+    "report lacks per_subject": ("report.json", lambda _: {"vimu_report": 1}, 2, "per_subject"),
+}
+
+
+@pytest.mark.parametrize("target,corrupt,code,needle", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, windows_file,
+                              gan_bundle, clf_bundle, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    if target == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(corrupt(run_config(dataset_dir, out))))
+        argv = ["run", "--config", str(path)]
+    elif target == "report.json":
+        path = tmp_path / target
+        path.write_text(json.dumps(corrupt(None)))
+        argv = ["report", "--report", str(path), "--out", out]
+    else:
+        source = {"generator.json": gan_bundle, "classifier.json": clf_bundle,
+                  "manifest.json": dataset_dir}[target]
+        copy = tmp_path / "copy"
+        shutil.copytree(source, copy)
+        doc = corrupt(json.loads((copy / target).read_text()))
+        (copy / target).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        argv = {
+            "generator.json": ["generate-imu", "--generator", str(copy), "--windows", str(windows_file),
+                               "--out", out],
+            "classifier.json": ["evaluate", "--model", str(copy), "--windows", str(windows_file),
+                                "--out", out],
+            "manifest.json": ["preprocess", "--dataset", str(copy), "--out", out],
+        }[target]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err and needle in err, err
+
+
+def test_train_gan_shares_run_generator_path(tmp_path):
+    # The staged command on run_experiment's generator cohort, with the seed
+    # run_experiment derives, writes the same generator files byte for byte.
+    data = tmp_path / "ds"
+    synth_generate(SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11), data)
+    cfg = tiny_config(data, tmp_path / "run", arms=("virtual_multimodal",))
+    assert cfg.gan.snapshot_every is None
+    run_experiment(cfg)
+
+    dataset = Dataset(data)
+    profile = resolve_profile(cfg.profile, dataset.manifest)
+    plan = make_split(dataset.manifest, cfg.experiment, profile)
+    table = extract_windows(dataset, profile, cfg.preproc)
+    cohort = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
+    save_window_table(tmp_path / "cohort.npz", table.select(cohort))
+    g = cfg.gan
+    assert main([
+        "train-gan", "--windows", str(tmp_path / "cohort.npz"), "--out", str(tmp_path / "staged"),
+        "--epochs", str(g.epochs), "--batch-size", str(g.batch_size),
+        "--learning-rate", repr(g.learning_rate), "--dropout", repr(g.dropout),
+        "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
+        "--generator-maps", ",".join(map(str, g.generator_maps)),
+        "--seed", str(derive_seed(cfg.seed, "gan")),
+    ]) == 0
+    for name in ("generator.ckpt", "discriminator.ckpt", "generator.json", "history.json"):
+        staged = (tmp_path / "staged" / name).read_bytes()
+        assert staged == (tmp_path / "run" / "gan" / name).read_bytes(), name

@@ -4,7 +4,7 @@ import zlib
 import numpy as np
 import pytest
 
-from vimu.errors import ConfigError, DataError, StatsMismatchError
+from vimu.errors import ConfigError, DataError, FormatError, StatsMismatchError
 from vimu.gan import (
     DiscriminatorConfig,
     GanTrainConfig,
@@ -294,9 +294,6 @@ class TestTraining:
         with pytest.raises(ConfigError):
             discriminator_forward(motion_cfg, build_discriminator(motion_cfg, seed=0), imu,
                                   mode="eval", semg_windows=semg)
-        with pytest.raises(DataError, match="pair critic"):
-            train_gan(semg, imu, GanTrainConfig(epochs=1, batch_size=16, generator_maps=(4, 2, 1)),
-                      disc_cfg=motion_cfg)
 
     def test_divergent_loss_raises_with_epoch(self):
         semg, imu = make_pairs()
@@ -383,3 +380,12 @@ class TestBundleIO:
         d_a = discriminator_forward(dcfg, disc, imu[:8], mode="eval", semg_windows=semg[:8])
         d_b = discriminator_forward(saved_cfg, critic, imu[:8], mode="eval", semg_windows=semg[:8])
         assert np.array_equal(d_a.data, d_b.data)
+
+    def test_sidecar_without_critic_record_is_format_error(self, tmp_path):
+        semg, imu = make_pairs(n=32)
+        gen, disc, _ = train_gan(semg, imu, GanTrainConfig(epochs=0, batch_size=16, generator_maps=(4, 2, 1)))
+        bundle = GeneratorBundle(GeneratorConfig(10, 4, 3, tconv_maps=(4, 2, 1)), gen,
+                                 fit_stats(semg.reshape(-1, 4)), fit_stats(imu.reshape(-1, 3)))
+        save_generator_bundle(tmp_path, bundle, disc)  # no critic config recorded
+        with pytest.raises(FormatError, match="discriminator"):
+            load_discriminator(tmp_path)

@@ -208,6 +208,16 @@ class TestConfig:
         assert again.to_dict() == cfg.to_dict()
         assert again.fingerprint() == cfg.fingerprint()
 
+    def test_desk_config_survives_json(self):
+        # The fingerprint pins the serialized form: a codec change that moved
+        # a key or a value's JSON type would change every report's record.
+        cfg = desk_config("data", seed=3)
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert again == cfg
+        assert again.fingerprint() == (
+            "a74cc88664862200edad909c333a5277dd6e8c9c649f01935a7c109ad76fef9e"
+        )
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"dataset": "x", "bogus": 1})
