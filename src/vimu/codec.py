@@ -10,6 +10,7 @@ annotation allows it; lists come back as tuples.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import numbers
 import typing
@@ -58,16 +59,24 @@ class DictCodec:
         name = cls.__name__
         if not isinstance(d, dict):
             raise ConfigError(f"{name} must be a JSON object, got {type(d).__name__}")
-        fields = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = sorted(set(d) - set(fields))
+        hints, required = _schema(cls)
+        unknown = sorted(set(d) - set(hints))
         if unknown:
             raise ConfigError(f"unknown {name} keys: {unknown}")
-        hints = typing.get_type_hints(cls)
-        for f in fields.values():
-            required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-            if required and f.name not in d:
-                raise ConfigError(f"{name} needs {f.name!r}")
+        for key in required:
+            if key not in d:
+                raise ConfigError(f"{name} needs {key!r}")
         return cls(**{k: _decode(hints[k], v, f"{name}.{k}") for k, v in d.items()})
+
+
+@functools.cache
+def _schema(cls):
+    """Field annotations and required field names of a codec class, resolved once per class."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = tuple(f.name for f in fields
+                     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+    return {f.name: hints[f.name] for f in fields}, required
 
 
 @contextmanager

@@ -278,7 +278,7 @@ def splice_rest_slices(rest_records, rest_gesture_id: int = 0) -> TrialRecord:
 # manifest and dataset directory
 
 @dataclass
-class ManifestEntry:
+class ManifestEntry(DictCodec):
     subject: int
     gesture: int
     trial: int
@@ -331,16 +331,15 @@ class DatasetManifest:
             "semg_channels": self.semg_channels,
             "imu_channels": self.imu_channels,
             "imu_kind": self.imu_kind,
-            "index": [
-                {"subject": e.subject, "gesture": e.gesture, "trial": e.trial, "path": e.path}
-                for e in self.index
-            ],
+            "index": [e.to_dict() for e in self.index],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
         if d.get("gst_version") != MANIFEST_VERSION:
             raise FormatError(f"unsupported manifest version {d.get('gst_version')!r}")
+        if not isinstance(d["index"], list):
+            raise ConfigError(f"manifest index must be a list, got {type(d['index']).__name__}")
         return cls(
             name=d["name"],
             subjects=list(d["subjects"]),
@@ -350,7 +349,7 @@ class DatasetManifest:
             semg_channels=d["semg_channels"],
             imu_channels=d["imu_channels"],
             imu_kind=d["imu_kind"],
-            index=[ManifestEntry(**e) for e in d["index"]],
+            index=[ManifestEntry.from_dict(e) for e in d["index"]],
         )
 
 

@@ -299,6 +299,9 @@ def load_classifier_bundle(directory):
     """Rebuild a model (and its input stats) from a saved bundle."""
     directory = Path(directory)
     with sidecar(directory / "classifier.json") as meta:
+        for key in ("streams", "stream_stats"):
+            if not isinstance(meta[key], dict):
+                raise ConfigError(f"{key!r} must be a JSON object, got {type(meta[key]).__name__}")
         stream_cfgs = {name: StreamConfig.from_dict(d) for name, d in meta["streams"].items()}
         fusion_cfg = FusionConfig.from_dict(meta["fusion"])
         stats = {name: ChannelStats.from_dict(d) for name, d in meta["stream_stats"].items()}

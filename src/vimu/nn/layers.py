@@ -30,8 +30,6 @@ LAYER_KINDS = (
     "flatten",
 )
 
-_PARAMETRIC = ("conv2d", "tconv2d", "locally_connected", "dense", "batchnorm")
-
 
 @dataclass(frozen=True)
 class LayerSpec:

@@ -94,21 +94,15 @@ def _accum(t: Tensor, g: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# convolution primitives (shared by conv2d, tconv2d and their gradients)
-
-def _pad2d(x, ph, pw):
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-
-
-def _windows(xp, oh, ow, kh, kw, sh, sw):
-    b, c, _, _ = xp.shape
-    s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp, (b, c, oh, ow, kh, kw), (s0, s1, s2 * sh, s3 * sw, s2, s3), writeable=False
-    )
-
+# convolution core: one im2col/col2im pair, every direction a plain matmul
+#
+# Columns are laid out maps first, (c*kh*kw, b*oh*ow), so a conv forward is
+# W @ cols with the weight reshaped as it is stored. col2im is the adjoint of
+# im2col, which makes a transposed conv the same three products as a conv
+# with the roles of input and output swapped. The (b, c, h, w) results are
+# views that keep the maps axis outermost in memory: batchnorm's per-map
+# reductions read that order about twice as fast as batch-outermost, and a
+# gradient in that order is already the maps-first matrix of the next GEMM.
 
 def conv_output_size(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
@@ -118,74 +112,43 @@ def tconv_output_size(n, k, stride, pad, out_pad):
     return (n - 1) * stride + k - 2 * pad + out_pad
 
 
-# einsum contraction paths are cached per (equation, shapes); the windows
-# involved are small and re-planned paths dominate the cost otherwise
-_EINSUM_PATHS: dict = {}
-
-
-def _einsum(eq, *operands):
-    key = (eq, tuple(op.shape for op in operands))
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(eq, *operands, optimize="optimal")[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(eq, *operands, optimize=path)
-
-
-def _conv_fwd(x, w, sh, sw, ph, pw):
-    _, _, h, wd = x.shape
-    _, _, kh, kw = w.shape
+def _im2col(x, kh, kw, sh, sw, ph, pw):
+    """The (kh, kw) windows of ``x`` (b, c, h, w) as a (c*kh*kw, b*oh*ow) matrix."""
+    b, c, h, w = x.shape
     oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(wd, kw, sw, pw)
-    win = _windows(_pad2d(x, ph, pw), oh, ow, kh, kw, sh, sw)
-    return _einsum("bchwpq,ocpq->bohw", win, w)
+    ow = conv_output_size(w, kw, sw, pw)
+    if ph or pw:
+        xp = np.zeros((c, b, h + 2 * ph, w + 2 * pw), dtype=x.dtype).transpose(1, 0, 2, 3)
+        xp[:, :, ph : ph + h, pw : pw + w] = x
+        x = xp
+    s0, s1, s2, s3 = x.strides
+    win = np.lib.stride_tricks.as_strided(
+        x, (c, kh, kw, b, oh, ow), (s1, s2, s3, s0, s2 * sh, s3 * sw), writeable=False
+    )
+    return win.reshape(c * kh * kw, b * oh * ow)
 
 
-def _conv_dw(x, dy, kh, kw, sh, sw, ph, pw):
-    _, _, oh, ow = dy.shape
-    win = _windows(_pad2d(x, ph, pw), oh, ow, kh, kw, sh, sw)
-    return _einsum("bchwpq,bohw->ocpq", win, dy)
-
-
-def _conv_dx(dy, w, x_shape, sh, sw, ph, pw):
-    b, co, oh, ow = dy.shape
-    _, ci, kh, kw = w.shape
-    _, _, h, wd = x_shape
-    # one GEMM for all kernel offsets, then strided scatter-adds of views
-    lhs = np.ascontiguousarray(dy.transpose(0, 2, 3, 1)).reshape(b * oh * ow, co)
-    contrib = (lhs @ w.reshape(co, ci * kh * kw)).reshape(b, oh, ow, ci, kh, kw)
-    buf = np.zeros((b, ci, h + 2 * ph, wd + 2 * pw), dtype=dy.dtype)
+def _col2im(cols, shape, kh, kw, sh, sw, ph, pw):
+    """Adjoint of ``_im2col``: scatter-add the columns back onto a (b, c, h, w) image."""
+    b, c, h, w = shape
+    oh = conv_output_size(h, kh, sh, ph)
+    ow = conv_output_size(w, kw, sw, pw)
+    cols = cols.reshape(c, kh, kw, b, oh, ow)
+    buf = np.zeros((c, b, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
     for p in range(kh):
         for q in range(kw):
-            buf[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += contrib[
-                :, :, :, :, p, q
-            ].transpose(0, 3, 1, 2)
-    return buf[:, :, ph : ph + h, pw : pw + wd]
+            buf[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += cols[:, p, q]
+    return buf[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
 
 
-def _lc_fwd(x, w, sh, sw):
-    oh, ow = w.shape[0], w.shape[1]
-    kh, kw = w.shape[4], w.shape[5]
-    win = _windows(x, oh, ow, kh, kw, sh, sw)
-    return _einsum("bchwpq,hwocpq->bohw", win, w)
+def _maps_first(x):
+    """(b, c, h, w) -> (c, b*h*w), the columns of a 1x1 window; no copy in maps-first order."""
+    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
 
 
-def _lc_dw(x, dy, w_shape, sh, sw):
-    oh, ow = w_shape[0], w_shape[1]
-    kh, kw = w_shape[4], w_shape[5]
-    win = _windows(x, oh, ow, kh, kw, sh, sw)
-    return _einsum("bchwpq,bohw->hwocpq", win, dy)
-
-
-def _lc_dx(dy, w, x_shape, sh, sw):
-    b, _, oh, ow = dy.shape
-    kh, kw = w.shape[4], w.shape[5]
-    contrib = _einsum("bohw,hwocpq->bpqchw", dy, w)
-    buf = np.zeros(x_shape, dtype=dy.dtype)
-    for p in range(kh):
-        for q in range(kw):
-            buf[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += contrib[:, p, q]
-    return buf
+def _images(m, b, h, w):
+    """The (b, c, h, w) view of a maps-first (c, b*h*w) matrix."""
+    return m.reshape(-1, b, h, w).transpose(1, 0, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -205,47 +168,67 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     sh, sw = stride
     ph, pw = padding
-    y = _conv_fwd(x.data, w.data, sh, sw, ph, pw) + b.data[None, :, None, None]
+    bsz, _, h, wd = x.data.shape
+    co, _, kh, kw = w.data.shape
+    oh = conv_output_size(h, kh, sh, ph)
+    ow = conv_output_size(wd, kw, sw, pw)
+    wm = w.data.reshape(co, -1)
+    cols = _im2col(x.data, kh, kw, sh, sw, ph, pw)
+    y = _images(wm @ cols, bsz, oh, ow) + b.data[None, :, None, None]
 
     def bwd(g):
-        _accum(x, _conv_dx(g, w.data, x.data.shape, sh, sw, ph, pw))
-        _accum(w, _conv_dw(x.data, g, w.data.shape[2], w.data.shape[3], sh, sw, ph, pw))
+        gm = _maps_first(g)
+        if x.requires_grad:
+            _accum(x, _col2im(wm.T @ gm, x.data.shape, kh, kw, sh, sw, ph, pw))
+        _accum(w, (gm @ cols.T).reshape(w.data.shape))
         _accum(b, g.sum(axis=(0, 2, 3)))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
 
 def tconv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding, output_padding) -> Tensor:
-    # Weight layout (in_maps, out_maps, kh, kw); the forward pass is the
-    # adjoint of a convolution with the same stride/padding, so the three
-    # directions all reuse the conv primitives with roles swapped.
+    # Weight layout (in_maps, out_maps, kh, kw): the adjoint of a conv2d from
+    # the output maps to the input maps with the same stride and padding.
     sh, sw = stride
     ph, pw = padding
-    oph, opw = output_padding
-    bsz, _, h, wd = x.data.shape
-    co = w.data.shape[1]
-    oh = tconv_output_size(h, w.data.shape[2], sh, ph, oph)
-    ow = tconv_output_size(wd, w.data.shape[3], sw, pw, opw)
-    y = _conv_dx(x.data, w.data, (bsz, co, oh, ow), sh, sw, ph, pw)
-    y = y + b.data[None, :, None, None]
+    bsz, ci, h, wd = x.data.shape
+    _, co, kh, kw = w.data.shape
+    oh = tconv_output_size(h, kh, sh, ph, output_padding[0])
+    ow = tconv_output_size(wd, kw, sw, pw, output_padding[1])
+    wm = w.data.reshape(ci, -1)
+    xm = _maps_first(x.data)
+    y = _col2im(wm.T @ xm, (bsz, co, oh, ow), kh, kw, sh, sw, ph, pw) + b.data[None, :, None, None]
 
     def bwd(g):
-        _accum(x, _conv_fwd(g, w.data, sh, sw, ph, pw))
-        _accum(w, _conv_dw(g, x.data, w.data.shape[2], w.data.shape[3], sh, sw, ph, pw))
+        cols = _im2col(g, kh, kw, sh, sw, ph, pw)
+        if x.requires_grad:
+            _accum(x, _images(wm @ cols, bsz, h, wd))
+        _accum(w, (xm @ cols.T).reshape(w.data.shape))
         _accum(b, g.sum(axis=(0, 2, 3)))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
 
 def local2d(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
-    # Per-position filters, no weight sharing; valid padding only.
-    # Bias has shape (maps, oh, ow): one offset per output position.
+    # Per-position filters, no weight sharing; valid padding only. Weight
+    # layout (oh, ow, out_maps, in_maps, kh, kw); bias (out_maps, oh, ow).
+    # One matmul batched over the oh*ow output positions; the result is
+    # copied to (maps, positions, batch) order to keep maps outermost.
     sh, sw = stride
-    y = _lc_fwd(x.data, w.data, sh, sw) + b.data[None]
+    bsz = x.data.shape[0]
+    oh, ow, co, _, kh, kw = w.data.shape
+    wp = w.data.reshape(oh * ow, co, -1)
+    cols = _im2col(x.data, kh, kw, sh, sw, 0, 0)
+    cp = np.ascontiguousarray(cols.reshape(-1, bsz, oh * ow).transpose(2, 0, 1))
+    ym = np.ascontiguousarray((wp @ cp).transpose(1, 0, 2))
+    y = ym.transpose(2, 0, 1).reshape(bsz, co, oh, ow) + b.data[None]
 
     def bwd(g):
-        _accum(x, _lc_dx(g, w.data, x.data.shape, sh, sw))
-        _accum(w, _lc_dw(x.data, g, w.data.shape, sh, sw))
+        gp = np.ascontiguousarray(g.reshape(bsz, co, oh * ow).transpose(2, 1, 0))
+        if x.requires_grad:
+            dcols = (wp.transpose(0, 2, 1) @ gp).transpose(1, 2, 0)
+            _accum(x, _col2im(dcols, x.data.shape, kh, kw, sh, sw, 0, 0))
+        _accum(w, (gp @ cp.transpose(0, 2, 1)).reshape(w.data.shape))
         _accum(b, g.sum(axis=0))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
@@ -387,11 +370,12 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     def bwd(g):
         dbeta = g.sum(axis=axes)
         dgamma = (g * xhat).sum(axis=axes)
-        gr = gamma.data.reshape(bshape)
-        dx = (gr * ivar.reshape(bshape) / m) * (
-            m * g - dbeta.reshape(bshape) - xhat * dgamma.reshape(bshape)
-        )
-        _accum(x, dx.astype(x.data.dtype))
+        if x.requires_grad:
+            gr = gamma.data.reshape(bshape)
+            dx = (gr * ivar.reshape(bshape) / m) * (
+                m * g - dbeta.reshape(bshape) - xhat * dgamma.reshape(bshape)
+            )
+            _accum(x, dx.astype(x.data.dtype))
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
 

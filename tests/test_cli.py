@@ -201,7 +201,18 @@ BAD_INPUTS = {
     "classifier sidecar lacks stream_stats": ("classifier.json", _without("stream_stats"), 2,
                                               "stream_stats"),
     "classifier sidecar lacks fusion": ("classifier.json", _without("fusion"), 2, "fusion"),
+    "classifier streams a list": ("classifier.json",
+                                  lambda meta: {**meta, "streams": list(meta["streams"].values())},
+                                  2, "streams"),
+    "classifier stream_stats a list": ("classifier.json",
+                                       lambda meta: {**meta, "stream_stats": list(meta["stream_stats"])},
+                                       2, "stream_stats"),
     "manifest lacks index": ("manifest.json", _without("index"), 2, "index"),
+    "manifest index not a list": ("manifest.json", lambda meta: {**meta, "index": 5}, 2, "index"),
+    "manifest entry with an extra key": ("manifest.json",
+                                         lambda meta: {**meta, "index": [{**meta["index"][0], "note": 1}]
+                                                       + meta["index"][1:]},
+                                         2, "note"),
     "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
     "report lacks per_subject": ("report.json", lambda _: {"vimu_report": 1}, 2, "per_subject"),
 }

@@ -32,10 +32,12 @@ def test_softmax_sums_to_one_and_positive():
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
 
-@pytest.mark.parametrize(
-    "h,w,stride,pad,outpad",
-    [(4, 5, (1, 2), (1, 1), (0, 1)), (3, 3, (2, 2), (1, 1), (1, 1)), (6, 2, (1, 3), (0, 0), (0, 2))],
-)
+TCONV_SHAPE_CASES = [
+    (4, 5, (1, 2), (1, 1), (0, 1)), (3, 3, (2, 2), (1, 1), (1, 1)), (6, 2, (1, 3), (0, 0), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("h,w,stride,pad,outpad", TCONV_SHAPE_CASES)
 def test_tconv_output_shape_law(h, w, stride, pad, outpad):
     spec = LayerSpec("tconv2d", "t", maps=2, kernel=(3, 3), stride=stride,
                      padding=pad, output_padding=outpad)
@@ -122,6 +124,90 @@ def test_locally_connected_has_position_specific_weights():
     x = np.ones((1, 1, 2, 2))
     out = run_stack(layers, params, x, mode="eval")
     assert np.allclose(out.data[0, 0], [[1.0, 2.0], [3.0, 4.0]])
+
+
+def _conv_reference(x, w, b, stride, pad):
+    # direct sum over the kernel window at every output position
+    (sh, sw), (ph, pw) = stride, pad
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    kh, kw = w.shape[2:]
+    oh = (xp.shape[2] - kh) // sh + 1
+    ow = (xp.shape[3] - kw) // sw + 1
+    out = np.empty((x.shape[0], w.shape[0], oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            patch = xp[:, :, i * sh : i * sh + kh, j * sw : j * sw + kw]
+            out[:, :, i, j] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3])) + b
+    return out
+
+
+@pytest.mark.parametrize("stride", [(1, 1), (2, 1), (3, 3)])
+@pytest.mark.parametrize("pad", [(0, 0), (1, 1)])
+def test_conv2d_matches_direct_sum(stride, pad):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((2, 3, 8, 7))
+    w = rng.standard_normal((4, 3, 3, 2))
+    b = rng.standard_normal(4)
+    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride, pad)
+    assert np.allclose(out.data, _conv_reference(x, w, b, stride, pad), atol=1e-12)
+
+
+@pytest.mark.parametrize("h,w,stride,pad,outpad", TCONV_SHAPE_CASES)
+def test_tconv2d_is_the_adjoint_of_conv2d(h, w, stride, pad, outpad):
+    # <conv(x), y> == <x, tconv(y)> for the same (in_maps, out_maps, kh, kw) weights
+    rng = np.random.default_rng(7)
+    weight = Tensor(rng.standard_normal((2, 3, 3, 3)))
+    y = rng.standard_normal((2, 2, h, w))
+    ty = T.tconv2d(Tensor(y), weight, Tensor(np.zeros(3)), stride, pad, outpad).data
+    x = rng.standard_normal(ty.shape)
+    cx = T.conv2d(Tensor(x), weight, Tensor(np.zeros(2)), stride, pad).data
+    assert cx.shape == y.shape
+    assert np.isclose(np.vdot(cx, y), np.vdot(x, ty), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_local2d_matches_per_position_reference(kernel, stride):
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 2, 7, 6))
+    oh = (7 - kernel) // stride + 1
+    ow = (6 - kernel) // stride + 1
+    w = rng.standard_normal((oh, ow, 4, 2, kernel, kernel))
+    b = rng.standard_normal((4, oh, ow))
+    out = T.local2d(Tensor(x), Tensor(w), Tensor(b), (stride, stride))
+    expect = np.empty((3, 4, oh, ow))
+    for i in range(oh):
+        for j in range(ow):
+            patch = x[:, :, i * stride : i * stride + kernel, j * stride : j * stride + kernel]
+            expect[:, :, i, j] = np.tensordot(patch, w[i, j], axes=([1, 2, 3], [1, 2, 3])) + b[:, i, j]
+    assert np.allclose(out.data, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("op", ["conv2d", "tconv2d", "local2d", "batchnorm_train"])
+def test_frozen_input_leaves_parameter_gradients_unchanged(op):
+    # the input gradient is skipped when the input needs none; nothing else moves
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 2, 5, 4))
+    shapes, args = {
+        "conv2d": ([(2, 2, 3, 3), (2,)], ((1, 1), (1, 1))),
+        "tconv2d": ([(2, 2, 3, 3), (2,)], ((1, 1), (1, 1), (0, 0))),
+        "local2d": ([(5, 4, 2, 2, 1, 1), (2, 5, 4)], ((1, 1),)),
+        "batchnorm_train": ([(2,), (2,)], (1e-5,)),
+    }[op]
+    values = [rng.standard_normal(s) for s in shapes]
+
+    def grads(x_requires_grad):
+        xt = Tensor(x, requires_grad=x_requires_grad)
+        params = [Tensor(v, requires_grad=True) for v in values]
+        out = getattr(T, op)(xt, *params, *args)
+        T.sum_all(T.tanh_act(out[0] if isinstance(out, tuple) else out)).backward()
+        return xt.grad, [p.grad for p in params]
+
+    dx, with_dx = grads(True)
+    no_dx, without_dx = grads(False)
+    assert dx is not None and no_dx is None
+    for a, b in zip(with_dx, without_dx):
+        assert np.array_equal(a, b)
 
 
 def test_flatten_and_dense_shapes():
