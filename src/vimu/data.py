@@ -621,6 +621,11 @@ class SynthConfig(DictCodec):
         for name in ("subjects", "gestures", "trials", "semg_channels", "imu_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synthetic config field {name} must be >= 1")
+        if self.trial_seconds < self.rest_lead_s + self.action_s:
+            raise ConfigError(
+                f"synthetic config field trial_seconds must be >= rest_lead_s + action_s = "
+                f"{self.rest_lead_s + self.action_s:g} s, got {self.trial_seconds:g}"
+            )
 
 
 def _synth_rng(cfg: SynthConfig, *key) -> np.random.Generator:

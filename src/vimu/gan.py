@@ -321,13 +321,14 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
             real = imu[idx][:, None, :, :]
             cond = semg[idx][:, None, :, :]
 
+            # One generator forward serves both steps: the critic step never
+            # touches the generator, so its parameters are the same for both.
+            fake = generator_forward(gen_cfg, gen, cond, mode="train", update_stats=True)
+
             # Discriminator step on real (1) and detached generated (0) pairs.
-            with no_grad():
-                fake_data = generator_forward(gen_cfg, gen, cond, mode="train",
-                                              update_stats=False).data
             d_real = discriminator_forward(disc_cfg, disc, real, mode="train",
                                            rng=dropout_rng, update_stats=True, semg_windows=cond)
-            d_fake = discriminator_forward(disc_cfg, disc, Tensor(fake_data), mode="train",
+            d_fake = discriminator_forward(disc_cfg, disc, Tensor(fake.data), mode="train",
                                            rng=dropout_rng, update_stats=True, semg_windows=cond)
             d_loss = add(bce_loss(d_real, np.ones_like(d_real.data)),
                          bce_loss(d_fake, np.zeros_like(d_fake.data)))
@@ -335,7 +336,6 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
             adam_step(adam_d, disc)
 
             # Generator step through a fresh discriminator pass.
-            fake = generator_forward(gen_cfg, gen, cond, mode="train", update_stats=True)
             d_on_fake = discriminator_forward(disc_cfg, disc, fake, mode="train",
                                               rng=dropout_rng, update_stats=False,
                                               semg_windows=cond)

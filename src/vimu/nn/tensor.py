@@ -96,13 +96,15 @@ def _accum(t: Tensor, g: np.ndarray):
 # ---------------------------------------------------------------------------
 # convolution core: one im2col/col2im pair, every direction a plain matmul
 #
-# Columns are laid out maps first, (c*kh*kw, b*oh*ow), so a conv forward is
-# W @ cols with the weight reshaped as it is stored. col2im is the adjoint of
-# im2col, which makes a transposed conv the same three products as a conv
-# with the roles of input and output swapped. The (b, c, h, w) results are
-# views that keep the maps axis outermost in memory: batchnorm's per-map
-# reductions read that order about twice as fast as batch-outermost, and a
-# gradient in that order is already the maps-first matrix of the next GEMM.
+# conv2d, tconv2d, local2d and 4D batchnorm return (b, c, h, w) views over
+# maps-first, batch-innermost (c, h, w, b) memory, and columns keep that
+# order, (c*kh*kw, oh*ow*b): a conv forward is W @ cols with the weight as
+# stored, and the product is the next activation. At stride 1 the window
+# copies of im2col and the strided adds of col2im move runs of ow*b values,
+# not ow. col2im is the adjoint of im2col, so a transposed conv is the same
+# three products as a conv with input and output swapped. Batchnorm reduces
+# each map over one contiguous row. Other memory orders give the same
+# values, more slowly: windows are read through ``x.strides``.
 
 def conv_output_size(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
@@ -113,42 +115,47 @@ def tconv_output_size(n, k, stride, pad, out_pad):
 
 
 def _im2col(x, kh, kw, sh, sw, ph, pw):
-    """The (kh, kw) windows of ``x`` (b, c, h, w) as a (c*kh*kw, b*oh*ow) matrix."""
+    """The (kh, kw) windows of ``x`` (b, c, h, w) as a (c*kh*kw, oh*ow*b) matrix."""
     b, c, h, w = x.shape
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
+    oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
     if ph or pw:
-        xp = np.zeros((c, b, h + 2 * ph, w + 2 * pw), dtype=x.dtype).transpose(1, 0, 2, 3)
+        xp = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=x.dtype).transpose(3, 0, 1, 2)
         xp[:, :, ph : ph + h, pw : pw + w] = x
         x = xp
     s0, s1, s2, s3 = x.strides
     win = np.lib.stride_tricks.as_strided(
-        x, (c, kh, kw, b, oh, ow), (s1, s2, s3, s0, s2 * sh, s3 * sw), writeable=False
+        x, (c, kh, kw, oh, ow, b), (s1, s2, s3, s2 * sh, s3 * sw, s0), writeable=False
     )
-    return win.reshape(c * kh * kw, b * oh * ow)
+    return win.reshape(c * kh * kw, oh * ow * b)
 
 
 def _col2im(cols, shape, kh, kw, sh, sw, ph, pw):
     """Adjoint of ``_im2col``: scatter-add the columns back onto a (b, c, h, w) image."""
     b, c, h, w = shape
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(w, kw, sw, pw)
-    cols = cols.reshape(c, kh, kw, b, oh, ow)
-    buf = np.zeros((c, b, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
+    cols = cols.reshape(c, kh, kw, oh, ow, b)
+    buf = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=cols.dtype)
     for p in range(kh):
         for q in range(kw):
-            buf[:, :, p : p + sh * oh : sh, q : q + sw * ow : sw] += cols[:, p, q]
-    return buf[:, :, ph : ph + h, pw : pw + w].transpose(1, 0, 2, 3)
+            buf[:, p : p + sh * oh : sh, q : q + sw * ow : sw] += cols[:, p, q]
+    return buf[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
 
 
 def _maps_first(x):
-    """(b, c, h, w) -> (c, b*h*w), the columns of a 1x1 window; no copy in maps-first order."""
-    return x.transpose(1, 0, 2, 3).reshape(x.shape[1], -1)
+    """(b, c, h, w) -> (c, h*w*b), the columns of a 1x1 window; no copy in maps-first order."""
+    return x.transpose(1, 2, 3, 0).reshape(x.shape[1], -1)
 
 
 def _images(m, b, h, w):
-    """The (b, c, h, w) view of a maps-first (c, b*h*w) matrix."""
-    return m.reshape(-1, b, h, w).transpose(1, 0, 2, 3)
+    """The (b, c, h, w) view of a maps-first (c, h*w*b) matrix."""
+    return m.reshape(-1, h, w, b).transpose(3, 0, 1, 2)
+
+
+def _by_position(a, m):
+    """(p, r, k) @ (p, k, b) batched over positions p, stored maps-first as (r, p, b)."""
+    out = np.empty((a.shape[1], a.shape[0], m.shape[2]), dtype=np.result_type(a, m))
+    np.matmul(a, m, out=out.transpose(1, 0, 2))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,18 +177,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     ph, pw = padding
     bsz, _, h, wd = x.data.shape
     co, _, kh, kw = w.data.shape
-    oh = conv_output_size(h, kh, sh, ph)
-    ow = conv_output_size(wd, kw, sw, pw)
+    oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(wd, kw, sw, pw)
     wm = w.data.reshape(co, -1)
     cols = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    y = _images(wm @ cols, bsz, oh, ow) + b.data[None, :, None, None]
+    y = _images(wm @ cols + b.data[:, None], bsz, oh, ow)
 
     def bwd(g):
         gm = _maps_first(g)
         if x.requires_grad:
             _accum(x, _col2im(wm.T @ gm, x.data.shape, kh, kw, sh, sw, ph, pw))
         _accum(w, (gm @ cols.T).reshape(w.data.shape))
-        _accum(b, g.sum(axis=(0, 2, 3)))
+        _accum(b, gm.sum(axis=1))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
@@ -210,23 +216,19 @@ def tconv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding, output_padding) ->
 
 
 def local2d(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
-    # Per-position filters, no weight sharing; valid padding only. Weight
-    # layout (oh, ow, out_maps, in_maps, kh, kw); bias (out_maps, oh, ow).
-    # One matmul batched over the oh*ow output positions; the result is
-    # copied to (maps, positions, batch) order to keep maps outermost.
+    # Per-position filters, valid padding: weight (oh, ow, out_maps, in_maps,
+    # kh, kw), bias (out_maps, oh, ow). One matmul batched over the positions.
     sh, sw = stride
     bsz = x.data.shape[0]
     oh, ow, co, _, kh, kw = w.data.shape
     wp = w.data.reshape(oh * ow, co, -1)
-    cols = _im2col(x.data, kh, kw, sh, sw, 0, 0)
-    cp = np.ascontiguousarray(cols.reshape(-1, bsz, oh * ow).transpose(2, 0, 1))
-    ym = np.ascontiguousarray((wp @ cp).transpose(1, 0, 2))
-    y = ym.transpose(2, 0, 1).reshape(bsz, co, oh, ow) + b.data[None]
+    cp = _im2col(x.data, kh, kw, sh, sw, 0, 0).reshape(-1, oh * ow, bsz).transpose(1, 0, 2)
+    y = _images(_by_position(wp, cp) + b.data.reshape(co, -1, 1), bsz, oh, ow)
 
     def bwd(g):
-        gp = np.ascontiguousarray(g.reshape(bsz, co, oh * ow).transpose(2, 1, 0))
+        gp = _maps_first(g).reshape(co, oh * ow, bsz).transpose(1, 0, 2)
         if x.requires_grad:
-            dcols = (wp.transpose(0, 2, 1) @ gp).transpose(1, 2, 0)
+            dcols = _by_position(wp.transpose(0, 2, 1), gp)
             _accum(x, _col2im(dcols, x.data.shape, kh, kw, sh, sw, 0, 0))
         _accum(w, (gp @ cp.transpose(0, 2, 1)).reshape(w.data.shape))
         _accum(b, g.sum(axis=0))
@@ -344,38 +346,43 @@ def sum_all(x: Tensor) -> Tensor:
     return Tensor(y, parents=(x,), backward_fn=bwd)
 
 
+def _per_map(x):
+    """(b, c, h, w) or (b, c) -> (c, n), one row per map; no copy in maps-first order."""
+    if x.ndim not in (2, 4):
+        raise ValueError("batchnorm expects 2D or 4D input")
+    return _maps_first(x) if x.ndim == 4 else x.T
+
+
+def _from_maps(m, shape):
+    """Inverse of ``_per_map`` for a batch of ``shape``."""
+    return _images(m, shape[0], *shape[2:]) if len(shape) == 4 else m.T
+
+
 def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     """Batch-statistics normalization. Returns (out, batch_mean, batch_var).
 
     4D input normalizes per feature map over (batch, h, w); 2D input per
-    feature over the batch. Variance is the population form.
+    feature over the batch. Variance is the population form; the centred
+    input serves the variance, the output and the backward pass.
     """
-    if x.data.ndim == 4:
-        axes = (0, 2, 3)
-        bshape = (1, -1, 1, 1)
-    elif x.data.ndim == 2:
-        axes = (0,)
-        bshape = (1, -1)
-    else:
-        raise ValueError("batchnorm expects 2D or 4D input")
-    m = x.data.size // x.data.shape[1]
+    xm = _per_map(x.data)
+    m = xm.shape[1]
     if m < 2:
         raise ValueError("batchnorm needs at least 2 values per feature")
-    mu = x.data.mean(axis=axes)
-    var = x.data.var(axis=axes)
+    mu = xm.mean(axis=1)
+    xc = xm - mu[:, None]
+    var = np.vecdot(xc, xc) / m
     ivar = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu.reshape(bshape)) * ivar.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    scale = gamma.data * ivar
+    y = _from_maps(xc * scale[:, None] + beta.data[:, None], x.data.shape)
 
     def bwd(g):
-        dbeta = g.sum(axis=axes)
-        dgamma = (g * xhat).sum(axis=axes)
+        gm = _per_map(g)
+        dbeta = gm.sum(axis=1)
+        dgamma = np.vecdot(gm, xc) * ivar
         if x.requires_grad:
-            gr = gamma.data.reshape(bshape)
-            dx = (gr * ivar.reshape(bshape) / m) * (
-                m * g - dbeta.reshape(bshape) - xhat * dgamma.reshape(bshape)
-            )
-            _accum(x, dx.astype(x.data.dtype))
+            dx = scale[:, None] * (gm - (dbeta[:, None] + xc * (ivar * dgamma)[:, None]) / m)
+            _accum(x, _from_maps(dx, x.data.shape))
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
 
@@ -383,21 +390,14 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, run_mean, run_var, eps: float) -> Tensor:
-    if x.data.ndim == 4:
-        bshape = (1, -1, 1, 1)
-        axes = (0, 2, 3)
-    elif x.data.ndim == 2:
-        bshape = (1, -1)
-        axes = (0,)
-    else:
-        raise ValueError("batchnorm expects 2D or 4D input")
     ivar = 1.0 / np.sqrt(run_var + eps)
-    xhat = (x.data - run_mean.reshape(bshape)) * ivar.reshape(bshape)
-    y = gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape)
+    xhat = (_per_map(x.data) - run_mean[:, None]) * ivar[:, None]
+    y = _from_maps(gamma.data[:, None] * xhat + beta.data[:, None], x.data.shape)
 
     def bwd(g):
-        _accum(x, (g * gamma.data.reshape(bshape) * ivar.reshape(bshape)).astype(x.data.dtype))
-        _accum(gamma, (g * xhat).sum(axis=axes))
-        _accum(beta, g.sum(axis=axes))
+        gm = _per_map(g)
+        _accum(x, _from_maps(gm * (gamma.data * ivar)[:, None], x.data.shape))
+        _accum(gamma, np.vecdot(gm, xhat))
+        _accum(beta, gm.sum(axis=1))
 
     return Tensor(y, parents=(x, gamma, beta), backward_fn=bwd)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import DictCodec
-from .errors import ModalityError, StatsMismatchError
+from .errors import ConfigError, ModalityError, StatsMismatchError
 
 MODALITIES = ("semg", "acc", "euler")
 
@@ -95,6 +95,8 @@ class ChannelStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelStats":
+        if not isinstance(d, dict):
+            raise ConfigError(f"channel stats must be a JSON object, got {type(d).__name__}")
         return cls(
             np.asarray(d["minimum"], dtype=np.float64),
             np.asarray(d["maximum"], dtype=np.float64),

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,6 +208,10 @@ BAD_INPUTS = {
     "classifier stream_stats a list": ("classifier.json",
                                        lambda meta: {**meta, "stream_stats": list(meta["stream_stats"])},
                                        2, "stream_stats"),
+    "classifier stream_stats holds a list": ("classifier.json",
+                                             lambda meta: {**meta, "stream_stats": {
+                                                 **meta["stream_stats"], "semg": [1, 2]}},
+                                             2, "channel stats"),
     "manifest lacks index": ("manifest.json", _without("index"), 2, "index"),
     "manifest index not a list": ("manifest.json", lambda meta: {**meta, "index": 5}, 2, "index"),
     "manifest entry with an extra key": ("manifest.json",
@@ -215,6 +220,8 @@ BAD_INPUTS = {
                                          2, "note"),
     "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
     "report lacks per_subject": ("report.json", lambda _: {"vimu_report": 1}, 2, "per_subject"),
+    "trial_seconds too short": ("synth", ["--trial-seconds", "3", "--subjects", "1",
+                                          "--gestures", "2", "--trials", "1"], 1, "trial_seconds"),
 }
 
 
@@ -226,6 +233,8 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(corrupt(run_config(dataset_dir, out))))
         argv = ["run", "--config", str(path)]
+    elif target == "synth":
+        argv = ["synth", "--out", out, *corrupt]
     elif target == "report.json":
         path = tmp_path / target
         path.write_text(json.dumps(corrupt(None)))
@@ -253,28 +262,43 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
 
 def test_train_gan_shares_run_generator_path(tmp_path):
     # The staged command on run_experiment's generator cohort, with the seed
-    # run_experiment derives, writes the same generator files byte for byte.
+    # run_experiment derives, writes the same generator files byte for byte:
+    # with the schedule at its defaults, and with snapshots, a narrower
+    # critic and no final batchnorm, set through their flags.
     data = tmp_path / "ds"
     synth_generate(SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11), data)
-    cfg = tiny_config(data, tmp_path / "run", arms=("virtual_multimodal",))
-    assert cfg.gan.snapshot_every is None
-    run_experiment(cfg)
+    base = tiny_config(data, tmp_path / "run", arms=("virtual_multimodal",))
+    assert base.gan.snapshot_every is None
 
     dataset = Dataset(data)
-    profile = resolve_profile(cfg.profile, dataset.manifest)
-    plan = make_split(dataset.manifest, cfg.experiment, profile)
-    table = extract_windows(dataset, profile, cfg.preproc)
+    profile = resolve_profile(base.profile, dataset.manifest)
+    plan = make_split(dataset.manifest, base.experiment, profile)
+    table = extract_windows(dataset, profile, base.preproc)
     cohort = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
     save_window_table(tmp_path / "cohort.npz", table.select(cohort))
-    g = cfg.gan
-    assert main([
-        "train-gan", "--windows", str(tmp_path / "cohort.npz"), "--out", str(tmp_path / "staged"),
-        "--epochs", str(g.epochs), "--batch-size", str(g.batch_size),
-        "--learning-rate", repr(g.learning_rate), "--dropout", repr(g.dropout),
-        "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
-        "--generator-maps", ",".join(map(str, g.generator_maps)),
-        "--seed", str(derive_seed(cfg.seed, "gan")),
-    ]) == 0
-    for name in ("generator.ckpt", "discriminator.ckpt", "generator.json", "history.json"):
-        staged = (tmp_path / "staged" / name).read_bytes()
-        assert staged == (tmp_path / "run" / "gan" / name).read_bytes(), name
+    schedules = {
+        "defaults": base.gan,
+        "flags": replace(base.gan, snapshot_every=2, discriminator_maps=4, skip_final_bn=True),
+    }
+    for name, g in schedules.items():
+        run_out = tmp_path / f"run_{name}"
+        run_experiment(replace(base, out_dir=str(run_out), gan=g))
+        argv = [
+            "train-gan", "--windows", str(tmp_path / "cohort.npz"), "--out", str(tmp_path / name),
+            "--epochs", str(g.epochs), "--batch-size", str(g.batch_size),
+            "--learning-rate", repr(g.learning_rate), "--dropout", repr(g.dropout),
+            "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
+            "--generator-maps", ",".join(map(str, g.generator_maps)),
+            "--discriminator-maps", str(g.discriminator_maps),
+            "--seed", str(derive_seed(base.seed, "gan")),
+        ]
+        if g.snapshot_every is not None:
+            argv += ["--snapshot-every", str(g.snapshot_every)]
+        if g.skip_final_bn:
+            argv.append("--skip-final-bn")
+        assert main(argv) == 0
+        history = json.loads((tmp_path / name / "history.json").read_text())
+        assert ("selection" in history) == (g.snapshot_every is not None)
+        for fname in ("generator.ckpt", "discriminator.ckpt", "generator.json", "history.json"):
+            staged = (tmp_path / name / fname).read_bytes()
+            assert staged == (run_out / "gan" / fname).read_bytes(), (name, fname)

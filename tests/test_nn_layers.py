@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vimu.errors import ConfigError
 from vimu.nn import LayerSpec, ParamSet, init_stack_params, run_stack, stack_output_shape
@@ -208,6 +210,74 @@ def test_frozen_input_leaves_parameter_gradients_unchanged(op):
     assert dx is not None and no_dx is None
     for a, b in zip(with_dx, without_dx):
         assert np.array_equal(a, b)
+
+
+# The same (b, c, h, w) values in three memory orders: C order, maps outermost
+# and maps outermost with the batch innermost (the order the conv ops return).
+MEMORY_ORDERS = {
+    "C": lambda a: a.copy(),
+    "cbhw": lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+    "chwb": lambda a: np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+}
+
+
+@pytest.mark.parametrize("op", ["conv2d", "tconv2d", "local2d", "batchnorm_train"])
+def test_ops_do_not_depend_on_memory_order(op):
+    # forward values and every gradient agree whatever the memory order of
+    # the input and of the gradient arriving from above
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((3, 2, 5, 4))
+    shapes, args = {
+        "conv2d": ([(3, 2, 3, 2), (3,)], ((2, 1), (1, 1))),
+        "tconv2d": ([(2, 3, 3, 3), (3,)], ((1, 2), (1, 1), (0, 1))),
+        "local2d": ([(4, 3, 3, 2, 2, 2), (3, 4, 3)], ((1, 1),)),
+        "batchnorm_train": ([(2,), (2,)], (1e-5,)),
+    }[op]
+    values = [rng.standard_normal(s) for s in shapes]
+
+    def forward(x_in):
+        xt = Tensor(x_in, requires_grad=True)
+        params = [Tensor(v, requires_grad=True) for v in values]
+        out = getattr(T, op)(xt, *params, *args)
+        return xt, params, out[0] if isinstance(out, tuple) else out
+
+    upstream = rng.standard_normal(forward(x)[2].data.shape)
+    reference = None
+    for x_order, x_layout in MEMORY_ORDERS.items():
+        for g_order, g_layout in MEMORY_ORDERS.items():
+            xt, params, out = forward(x_layout(x))
+            T.sum_all(T.dropout_mask(out, g_layout(upstream))).backward()
+            got = [out.data, xt.grad] + [p.grad for p in params]
+            reference = reference or got
+            for i, (a, b) in enumerate(zip(reference, got)):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12), (x_order, g_order, i)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    kernel=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    size=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    maps=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    batch=st.integers(1, 4),
+    data=st.data(),
+)
+def test_tconv2d_is_the_adjoint_of_conv2d_for_any_geometry(kernel, stride, size, maps, batch, data):
+    # <conv(x), y> == <x, tconv(y)>, for every padding and output padding the geometry allows
+    pad = tuple(data.draw(st.integers(0, k - 1)) for k in kernel)
+    outpad = tuple(data.draw(st.integers(0, s - 1)) for s in stride)
+    out_size = [T.tconv_output_size(n, k, s, p, q)
+                for n, k, s, p, q in zip(size, kernel, stride, pad, outpad)]
+    assume(min(out_size) >= 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    weight = Tensor(rng.standard_normal((maps[0], maps[1], *kernel)))
+    y = rng.standard_normal((batch, maps[0], *size))
+    ty = T.tconv2d(Tensor(y), weight, Tensor(np.zeros(maps[1])), stride, pad, outpad).data
+    assert ty.shape == (batch, maps[1], *out_size)
+    x = rng.standard_normal(ty.shape)
+    cx = T.conv2d(Tensor(x), weight, Tensor(np.zeros(maps[0])), stride, pad).data
+    assert cx.shape == y.shape
+    assert np.isclose(np.vdot(cx, y), np.vdot(x, ty), rtol=1e-10, atol=1e-10)
 
 
 def test_flatten_and_dense_shapes():
