@@ -78,9 +78,7 @@ def build_parser() -> _Parser:
     p.add_argument("--loss-variant", choices=("nonsaturating", "minimax"), default="nonsaturating")
     p.add_argument("--max-pairs", type=int, default=None)
     p.add_argument("--generator-maps", default="32,16,1")
-    p.add_argument("--discriminator-maps", type=int, default=16)
-    p.add_argument("--skip-final-bn", action="store_true")
-    p.add_argument("--snapshot-every", type=int, default=None,
+    p.add_argument("--snapshot-every", type=int,
                    help="keep a generator snapshot every N epochs and return the best")
     p.add_argument("--seed", type=int, default=0)
 
@@ -152,7 +150,6 @@ def _cmd_train_gan(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
         dropout=args.dropout, loss_variant=args.loss_variant, seed=args.seed,
         max_pairs=args.max_pairs, generator_maps=tuple(int(v) for v in args.generator_maps.split(",")),
-        discriminator_maps=args.discriminator_maps, skip_final_bn=args.skip_final_bn,
         snapshot_every=args.snapshot_every,
     )
     bundle, _, _ = pipeline.train_generator_bundle(table.semg_gan, table.imu, cfg, args.out)

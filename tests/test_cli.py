@@ -262,9 +262,8 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
 
 def test_train_gan_shares_run_generator_path(tmp_path):
     # The staged command on run_experiment's generator cohort, with the seed
-    # run_experiment derives, writes the same generator files byte for byte:
-    # with the schedule at its defaults, and with snapshots, a narrower
-    # critic and no final batchnorm, set through their flags.
+    # run_experiment derives, writes the same generator files byte for byte,
+    # with and without generator snapshots.
     data = tmp_path / "ds"
     synth_generate(SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11), data)
     base = tiny_config(data, tmp_path / "run", arms=("virtual_multimodal",))
@@ -278,7 +277,7 @@ def test_train_gan_shares_run_generator_path(tmp_path):
     save_window_table(tmp_path / "cohort.npz", table.select(cohort))
     schedules = {
         "defaults": base.gan,
-        "flags": replace(base.gan, snapshot_every=2, discriminator_maps=4, skip_final_bn=True),
+        "snapshots": replace(base.gan, snapshot_every=2),
     }
     for name, g in schedules.items():
         run_out = tmp_path / f"run_{name}"
@@ -289,13 +288,10 @@ def test_train_gan_shares_run_generator_path(tmp_path):
             "--learning-rate", repr(g.learning_rate), "--dropout", repr(g.dropout),
             "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
             "--generator-maps", ",".join(map(str, g.generator_maps)),
-            "--discriminator-maps", str(g.discriminator_maps),
             "--seed", str(derive_seed(base.seed, "gan")),
         ]
         if g.snapshot_every is not None:
             argv += ["--snapshot-every", str(g.snapshot_every)]
-        if g.skip_final_bn:
-            argv.append("--skip-final-bn")
         assert main(argv) == 0
         history = json.loads((tmp_path / name / "history.json").read_text())
         assert ("selection" in history) == (g.snapshot_every is not None)
