@@ -201,7 +201,7 @@ def _cmd_train_clf(args) -> int:
             spec.stream(k, streams["imu"].shape[2]),
             fusion_cfg, args.seed,
         )
-    decay = tuple(d for d in (16, 24) if d < args.epochs)
+    decay = tuple(d for d in fusion.ClfTrainConfig.decay_epochs if d < args.epochs)
     cfg = fusion.ClfTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                                 decay_epochs=decay, seed=args.seed)
     _, history = fusion.train_classifier(model, normalized, table.labels, cfg)

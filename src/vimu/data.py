@@ -209,68 +209,33 @@ def import_csv(semg_csv, imu_csv, meta: CsvTrialMeta) -> TrialRecord:
 class TrimSpec:
     rest_lead_s: float = 1.0
     action_s: float = 3.0
-    rest_keep_s: float = 0.5
 
 
-def trim_trial(record: TrialRecord, rest_lead_s: float = 1.0, action_s: float = 3.0,
-               rest_keep_s: float = 0.5, rest_gesture_id: int = 0):
-    """Split a trial into its stable action slice and a short rest slice.
+def trim_trial(record: TrialRecord, rest_lead_s: float = 1.0, action_s: float = 3.0) -> TrialRecord:
+    """Cut a trial down to its stable action slice.
 
-    The action covers [rest_lead_s, rest_lead_s + action_s); the rest slice
-    is the first ``rest_keep_s`` seconds of the leading rest. Frame counts
+    The action covers [rest_lead_s, rest_lead_s + action_s). Frame counts
     are exact for any rate; a too-short trial raises.
     """
     rate = record.semg.sample_rate_hz
     lead = int(math.floor(rest_lead_s * rate + 1e-9))
     action = int(math.floor(action_s * rate + 1e-9))
-    rest = int(math.floor(rest_keep_s * rate + 1e-9))
     if record.semg.frames < lead + action:
         raise DataError(
             f"trial of {record.semg.frames} frames is shorter than lead+action "
             f"({lead + action} frames)"
         )
-    if rest < 1 or rest > lead:
-        raise DataError("rest slice must fit inside the leading rest period")
 
-    def _slice(series, start, stop):
-        return MultichannelSeries(series.data[start:stop].copy(), series.sample_rate_hz,
+    def _slice(series):
+        return MultichannelSeries(series.data[lead : lead + action].copy(), series.sample_rate_hz,
                                   series.modality)
 
-    action_rec = TrialRecord(
-        semg=_slice(record.semg, lead, lead + action),
-        imu=_slice(record.imu, lead, lead + action) if record.imu is not None else None,
+    return TrialRecord(
+        semg=_slice(record.semg),
+        imu=_slice(record.imu) if record.imu is not None else None,
         gesture_id=record.gesture_id,
         subject_id=record.subject_id,
         trial_id=record.trial_id,
-    )
-    rest_rec = TrialRecord(
-        semg=_slice(record.semg, 0, rest),
-        imu=_slice(record.imu, 0, rest) if record.imu is not None else None,
-        gesture_id=rest_gesture_id,
-        subject_id=record.subject_id,
-        trial_id=record.trial_id,
-    )
-    return action_rec, rest_rec
-
-
-def splice_rest_slices(rest_records, rest_gesture_id: int = 0) -> TrialRecord:
-    """Concatenate rest slices from several trials into one rest trial."""
-    if not rest_records:
-        raise DataError("no rest slices to splice")
-    first = rest_records[0]
-    semg = np.concatenate([r.semg.data for r in rest_records], axis=0)
-    imu = None
-    if first.imu is not None:
-        imu = MultichannelSeries(
-            np.concatenate([r.imu.data for r in rest_records], axis=0),
-            first.imu.sample_rate_hz, first.imu.modality,
-        )
-    return TrialRecord(
-        semg=MultichannelSeries(semg, first.semg.sample_rate_hz, "semg"),
-        imu=imu,
-        gesture_id=rest_gesture_id,
-        subject_id=first.subject_id,
-        trial_id=first.trial_id,
     )
 
 
@@ -431,7 +396,6 @@ class DatabaseProfile:
     clf_train_trials: tuple
     clf_test_trials: tuple
     trim: TrimSpec | None = None
-    rest_class: bool = False
 
 
 PROFILES = {
@@ -441,7 +405,7 @@ PROFILES = {
         usable_trials=(1, 2, 3, 4),
         exp1_gan_trials=(1, 2, 3, 4), exp2_gan_trials=(1, 3),
         clf_train_trials=(1, 3), clf_test_trials=(2, 4),
-        trim=TrimSpec(1.0, 3.0, 0.5), rest_class=True,
+        trim=TrimSpec(1.0, 3.0),
     ),
     "ninapro_db2": DatabaseProfile(
         name="ninapro_db2", subjects=40, gestures=50, semg_channels=12, imu_channels=36,
@@ -506,7 +470,7 @@ def synthetic_profile(manifest: DatasetManifest, trim: TrimSpec | None = None) -
         exp2_gan_trials=train,
         clf_train_trials=train,
         clf_test_trials=test,
-        trim=trim if trim is not None else TrimSpec(1.0, 3.0, 0.5),
+        trim=trim if trim is not None else TrimSpec(1.0, 3.0),
     )
 
 
@@ -621,6 +585,10 @@ class SynthConfig(DictCodec):
         for name in ("subjects", "gestures", "trials", "semg_channels", "imu_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"synthetic config field {name} must be >= 1")
+        if not self.sample_rate_hz > 0:
+            raise ConfigError(
+                f"synthetic config field sample_rate_hz must be > 0, got {self.sample_rate_hz:g}"
+            )
         if self.trial_seconds < self.rest_lead_s + self.action_s:
             raise ConfigError(
                 f"synthetic config field trial_seconds must be >= rest_lead_s + action_s = "

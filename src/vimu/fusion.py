@@ -18,7 +18,7 @@ import numpy as np
 from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, DivergenceError
 from .nn import checkpoint
-from .nn.layers import LayerSpec, ParamSet, backprop, init_stack_params, run_stack, stack_output_shape
+from .nn.layers import LayerSpec, ParamSet, backprop, init_stack_params, run_stack
 from .nn.losses import cross_entropy_loss
 from .nn.optim import SgdState, sgd_step
 from .nn.tensor import Tensor, concat, no_grad
@@ -167,12 +167,6 @@ def build_unimodal(semg_cfg: StreamConfig, fusion_cfg: FusionConfig, seed: int) 
     return FusionModel({"semg": semg_cfg}, fusion_cfg, params)
 
 
-def stream_spatial_shape(cfg: StreamConfig) -> tuple:
-    """Shape after the conv/LC body (before flatten); spatial dims must hold."""
-    body = stream_layers(cfg)[:-3]
-    return stack_output_shape(body, (1, cfg.window_frames, cfg.channels))
-
-
 @dataclass
 class ClfTrainConfig(DictCodec):
     """Step-decayed SGD schedule for the recognition models."""
@@ -210,7 +204,7 @@ def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainCon
     if any(a.shape[0] != n for a in arrays):
         raise DataError("stream arrays and labels must align")
     if y.min() < 0 or y.max() >= model.fusion_cfg.classes:
-        raise ValueError(f"label out of range [0, {model.fusion_cfg.classes})")
+        raise DataError(f"label out of range [0, {model.fusion_cfg.classes})")
 
     s_shuffle, s_dropout = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(s_shuffle)
@@ -243,18 +237,6 @@ def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainCon
         history["accuracy"].append(correct / seen)
         history["lr"].append(sgd.learning_rate(epoch))
     return model.params, history
-
-
-def pretrain_then_finetune(model: FusionModel, pooled_streams, pooled_labels,
-                           subject_streams, subject_labels, cfg: ClfTrainConfig):
-    """Full schedule on the amalgamated cohort, then again on one subject.
-
-    With ``cfg.pretrain`` unset this reduces to plain training on the
-    subject data.
-    """
-    if cfg.pretrain:
-        train_classifier(model, pooled_streams, pooled_labels, cfg)
-    return train_classifier(model, subject_streams, subject_labels, cfg)
 
 
 def predict(model: FusionModel, stream_arrays, batch_size: int = 1024):

@@ -50,7 +50,6 @@ class GeneratorConfig(DictCodec):
     semg_channels: int
     imu_channels: int
     tconv_maps: tuple[int, ...] = (32, 16, 1)
-    skip_final_bn: bool = False
 
     def __post_init__(self):
         if min(self.window_frames, self.semg_channels, self.imu_channels) < 1:
@@ -72,9 +71,7 @@ def generator_layers(cfg: GeneratorConfig) -> list:
                 padding=(1, 1), output_padding=(0, 1),
             )
         )
-        last = i == len(cfg.tconv_maps)
-        if not (last and cfg.skip_final_bn):
-            layers.append(LayerSpec("batchnorm", f"bn{i}"))
+        layers.append(LayerSpec("batchnorm", f"bn{i}"))
         layers.append(LayerSpec("relu", f"relu{i}"))
     layers.append(LayerSpec("flatten", "flatten"))
     layers.append(LayerSpec("dense", "head", units=cfg.dense_units))
@@ -247,7 +244,6 @@ class GanTrainConfig(DictCodec):
     max_pairs: int | None = None
     generator_maps: tuple[int, ...] = (32, 16, 1)
     discriminator_maps: int = 16
-    skip_final_bn: bool = False
     snapshot_every: int | None = None
 
     def __post_init__(self):
@@ -285,8 +281,7 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
         raise DataError("paired windows must share (count, frames) and be (n, k, C) arrays")
     n, k, c1 = semg.shape
     c2 = imu.shape[2]
-    gen_cfg = GeneratorConfig(k, c1, c2, tconv_maps=cfg.generator_maps,
-                              skip_final_bn=cfg.skip_final_bn)
+    gen_cfg = GeneratorConfig(k, c1, c2, tconv_maps=cfg.generator_maps)
     disc_cfg = DiscriminatorConfig(k, c2, conv_maps=cfg.discriminator_maps,
                                    dropout=cfg.dropout, semg_channels=c1)
 

@@ -174,10 +174,7 @@ def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpe
             for trial in trials:
                 record = dataset.load_trial(subject, gesture, trial)
                 if profile.trim is not None:
-                    record, _ = trim_trial(
-                        record, profile.trim.rest_lead_s, profile.trim.action_s,
-                        profile.trim.rest_keep_s,
-                    )
+                    record = trim_trial(record, profile.trim.rest_lead_s, profile.trim.action_s)
                 semg_gan = sigproc.segment_series(sigproc.gan_chain_semg(record.semg, spec), spec)
                 semg_hgr = sigproc.segment_series(sigproc.hgr_chain_semg(record.semg, spec), spec)
                 if len(semg_gan) != len(semg_hgr):
@@ -309,7 +306,7 @@ def aggregate(values) -> tuple:
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(DictCodec):
     """Per-subject accuracies, per-arm summaries, and arm deltas."""
 
     per_subject: dict
@@ -320,34 +317,13 @@ class MetricsReport:
     dataset: str
     profile: str
     experiment: str
-
-    def to_dict(self) -> dict:
-        return {
-            "vimu_report": 1,
-            "per_subject": self.per_subject,
-            "arm_summary": self.arm_summary,
-            "deltas": self.deltas,
-            "config_fingerprint": self.config_fingerprint,
-            "seed": self.seed,
-            "dataset": self.dataset,
-            "profile": self.profile,
-            "experiment": self.experiment,
-        }
+    vimu_report: int = 1
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":
         if d.get("vimu_report") != 1:
             raise DataError(f"unsupported report version {d.get('vimu_report')!r}")
-        return cls(
-            per_subject=d["per_subject"],
-            arm_summary=d["arm_summary"],
-            deltas=d["deltas"],
-            config_fingerprint=d["config_fingerprint"],
-            seed=d["seed"],
-            dataset=d["dataset"],
-            profile=d["profile"],
-            experiment=d["experiment"],
-        )
+        return super().from_dict(d)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -470,8 +446,7 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
     gen_params, disc_params, history = train_gan(semg_norm, imu_norm, cfg)
     n, k, c1 = semg_norm.shape
     bundle = GeneratorBundle(
-        cfg=GeneratorConfig(k, c1, imu_norm.shape[2], tconv_maps=cfg.generator_maps,
-                            skip_final_bn=cfg.skip_final_bn),
+        cfg=GeneratorConfig(k, c1, imu_norm.shape[2], tconv_maps=cfg.generator_maps),
         params=gen_params,
         semg_stats=semg_stats,
         imu_stats=imu_stats,
@@ -548,8 +523,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             assert_no_leakage(plan, table.subjects[train_mask], table.trials[train_mask], "clf_train")
             pretrained = _build_model(cfg, names, normalized, k, classes,
                                       derive_seed(cfg.seed, arm, "pretrain"))
-            pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"),
-                               pretrain=False)
+            pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"))
             train_classifier(pretrained, [normalized[n][train_mask] for n in names],
                              table.labels[train_mask], pool_cfg)
 
@@ -564,8 +538,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
                 model = pretrained.clone()
             else:
                 model = _build_model(cfg, names, normalized, k, classes, seed)
-            subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject),
-                               pretrain=False)
+            subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject))
             train_classifier(model, [normalized[n][s_train] for n in names],
                              table.labels[s_train], subj_cfg)
             preds, _ = predict(model, [normalized[n][s_test] for n in names])

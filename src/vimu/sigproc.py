@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import DictCodec
-from .errors import ConfigError, ModalityError, StatsMismatchError
+from .errors import ConfigError, DataError, ModalityError, StatsMismatchError
 
 MODALITIES = ("semg", "acc", "euler")
 
@@ -37,11 +37,11 @@ class MultichannelSeries:
         arr = np.asarray(self.data, dtype=np.float64)
         object.__setattr__(self, "data", arr)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("series data must be a frames x channels matrix with >= 1 row")
+            raise DataError("series data must be a frames x channels matrix with >= 1 row")
         if not np.all(np.isfinite(arr)):
-            raise ValueError("series contains non-finite samples")
+            raise DataError("series contains non-finite samples")
         if not self.sample_rate_hz > 0:
-            raise ValueError("sample rate must be positive")
+            raise DataError("sample rate must be positive")
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
 

@@ -187,6 +187,15 @@ def _without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
 
+# A report as `vimu run` writes it, for the rows that change one key.
+REPORT = {
+    "vimu_report": 1, "per_subject": {"unimodal": {"1": {"window_accuracy": 0.5,
+                                                         "trial_majority_accuracy": 0.5}}},
+    "arm_summary": {"unimodal": {"mean": 0.5, "std": 0.0}}, "deltas": {},
+    "config_fingerprint": "cafe", "seed": 0, "dataset": "synthetic", "profile": "synthetic",
+    "experiment": "exp2",
+}
+
 # case: (what it corrupts, how, expected exit code, text the message must name)
 BAD_INPUTS = {
     "unknown gan key": ("config", _section("gan", bogus=1), 1, "bogus"),
@@ -219,9 +228,16 @@ BAD_INPUTS = {
                                                        + meta["index"][1:]},
                                          2, "note"),
     "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
+    "manifest sample rate zero": ("manifest.json", lambda meta: {**meta, "sample_rate_hz": 0}, 2,
+                                  "sample rate"),
     "report lacks per_subject": ("report.json", lambda _: {"vimu_report": 1}, 2, "per_subject"),
+    "report version 2": ("report.json", lambda _: {**REPORT, "vimu_report": 2}, 2, "report version 2"),
+    "report lacks its version": ("report.json", lambda _: _without("vimu_report")(REPORT), 2,
+                                 "report version None"),
     "trial_seconds too short": ("synth", ["--trial-seconds", "3", "--subjects", "1",
                                           "--gestures", "2", "--trials", "1"], 1, "trial_seconds"),
+    "sample rate zero": ("synth", ["--rate", "0", "--subjects", "1", "--gestures", "2",
+                                   "--trials", "1"], 1, "sample_rate_hz"),
 }
 
 

@@ -1,4 +1,6 @@
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from vimu.data import (
     manifest_for_profile,
     read_trial,
     resolve_profile,
-    splice_rest_slices,
     synth_generate,
     synth_latents,
     synth_trial_arrays,
@@ -93,8 +94,17 @@ class TestTrialBinary:
             read_trial(bad, 200.0)
 
     def test_zero_frame_trial_rejected_at_write(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             MultichannelSeries(np.zeros((0, 2)), 100.0, "semg")
+
+    def test_nan_sample_in_crc_valid_trial_rejected(self, tmp_path):
+        path = tmp_path / "t.gst"
+        write_trial(path, make_record(frames=20))
+        blob = bytearray(path.read_bytes()[:-4])
+        blob[17:21] = struct.pack("<f", float("nan"))  # first muscle sample
+        path.write_bytes(bytes(blob) + struct.pack("<I", zlib.crc32(bytes(blob))))
+        with pytest.raises(DataError, match="non-finite"):
+            read_trial(path, 200.0)
 
 
 class TestCsvImport:
@@ -147,29 +157,14 @@ class TestTrim:
     def test_full_rate_arithmetic(self):
         # 6 s at 2040 Hz: action slice is 6120 frames starting at frame 2040
         rec = make_record(frames=6 * 2040, semg_ch=2, imu_ch=3, rate=2040.0)
-        action, rest = trim_trial(rec)
+        action = trim_trial(rec)
         assert action.semg.frames == 6120
         assert np.array_equal(action.semg.data[0], rec.semg.data[2040])
-        assert rest.semg.frames == 1020
-
-    def test_rest_slice_from_lead(self):
-        rec = make_record(frames=1200, rate=200.0)
-        action, rest = trim_trial(rec)
-        assert np.array_equal(rest.semg.data, rec.semg.data[:100])
-        assert rest.gesture_id == 0
 
     def test_too_short_rejected(self):
         rec = make_record(frames=100, rate=200.0)  # needs 800 frames
         with pytest.raises(DataError):
             trim_trial(rec)
-
-    def test_rest_splice_totals_nine_seconds(self):
-        # 18 action gestures x 0.5 s rest -> 9 s spliced rest
-        records = [make_record(frames=1200, rate=200.0, seed=i) for i in range(18)]
-        rests = [trim_trial(r)[1] for r in records]
-        spliced = splice_rest_slices(rests)
-        assert spliced.semg.frames == 18 * 100
-        assert spliced.semg.frames / 200.0 == pytest.approx(9.0)
 
 
 class TestSplits:

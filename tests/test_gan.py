@@ -113,12 +113,6 @@ class TestBuilders:
         with pytest.raises(ConfigError):
             DiscriminatorConfig(2, 3)
 
-    def test_skip_final_bn_flag(self):
-        with_bn = generator_layers(GeneratorConfig(10, 4, 3))
-        without = generator_layers(GeneratorConfig(10, 4, 3, skip_final_bn=True))
-        assert sum(1 for s in with_bn if s.kind == "batchnorm") == 3
-        assert sum(1 for s in without if s.kind == "batchnorm") == 2
-
     def test_discriminator_output_in_unit_interval(self):
         cfg = DiscriminatorConfig(10, 3)
         params = build_discriminator(cfg, seed=0)

@@ -215,7 +215,7 @@ class TestConfig:
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
         assert again.fingerprint() == (
-            "a74cc88664862200edad909c333a5277dd6e8c9c649f01935a7c109ad76fef9e"
+            "411b56ec9801d9407106bb03cfc9ff7b268aac22696b8932484b8da67d3a6b90"
         )
 
     def test_unknown_key_rejected(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vimu.errors import ModalityError, StatsMismatchError
+from vimu.errors import DataError, ModalityError, StatsMismatchError
 from vimu.sigproc import (
     ChannelStats,
     MultichannelSeries,
@@ -282,13 +282,13 @@ class TestChains:
 
 class TestSeriesInvariants:
     def test_nan_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             series([[np.nan, 1.0]])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             MultichannelSeries(np.zeros((0, 2)), 100.0, "semg")
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             MultichannelSeries(np.zeros((2, 2)), 0.0, "semg")

@@ -1,0 +1,70 @@
+"""sha256 of every file `vimu run` writes, on three fixed configs.
+
+Runs the CLI's `run` command on the tiny config (all three arms), on the
+tiny config with cohort pretraining and generator snapshots, and on
+`desk_config` at seed 0, then writes a JSON object mapping
+`<run>/<path inside out_dir>` to the file's sha256. Every path the runs see
+is relative to the work directory, so the configs, and with them each
+report's `config_fingerprint`, do not depend on where it is. Comparing two
+such tables shows whether a change moved any output byte.
+
+    PYTHONPATH=src python tools/output_digests.py --work digests_work --out digests.json
+"""
+import argparse
+import hashlib
+import json
+import os
+from dataclasses import replace
+from pathlib import Path
+
+from vimu.cli import main
+from vimu.data import SynthConfig, synth_generate
+from vimu.fusion import ClfTrainConfig
+from vimu.gan import GanTrainConfig
+from vimu.pipeline import ClassifierSpec, ExperimentConfig, desk_config
+from vimu.sigproc import PreprocSpec
+
+
+def configs() -> dict:
+    """Write the two synthetic datasets into the current directory; returns the configs by run name."""
+    tiny_data, desk_data = Path("tiny_data"), Path("desk_data")
+    synth_generate(SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11), tiny_data)
+    synth_generate(SynthConfig(seed=0), desk_data)
+    tiny = ExperimentConfig(
+        dataset=str(tiny_data), preproc=PreprocSpec(window_ms=200.0, step_ms=200.0, decimation=4),
+        gan=GanTrainConfig(epochs=4, batch_size=8, generator_maps=(4, 2, 1), max_pairs=64),
+        classifier=ClfTrainConfig(batch_size=16, epochs=3, decay_epochs=(2,)),
+        network=ClassifierSpec(conv_maps=2, lc_maps=2, dense_units=8, fusion_hidden=8),
+    )
+    return {
+        "tiny": tiny,
+        "tiny_pretrain_snapshots": replace(tiny, gan=replace(tiny.gan, snapshot_every=2),
+                                           classifier=replace(tiny.classifier, pretrain=True)),
+        "desk": desk_config(str(desk_data), seed=0),
+    }
+
+
+def run_digests() -> dict:
+    """Run every config from the current directory; returns {path: sha256}."""
+    digests = {}
+    for name, cfg in configs().items():
+        out = Path(name)
+        path = Path(f"{name}.json")
+        path.write_text(json.dumps(replace(cfg, out_dir=name).to_dict()), encoding="utf-8")
+        if main(["run", "--config", str(path)]) != 0:
+            raise SystemExit(f"vimu run failed on {name}")
+        for f in sorted(p for p in out.rglob("*") if p.is_file()):
+            digests[f"{name}/{f.relative_to(out).as_posix()}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    return digests
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--work", required=True, help="new directory for datasets and run outputs")
+    parser.add_argument("--out", required=True, help="where to write the JSON table")
+    args = parser.parse_args()
+    out = Path(args.out).resolve()
+    Path(args.work).mkdir(parents=True)
+    os.chdir(args.work)
+    table = run_digests()
+    out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
