@@ -347,14 +347,30 @@ class Dataset:
             self.manifest = DatasetManifest.from_dict(meta)
 
     def load_trial(self, subject: int, gesture: int, trial: int) -> TrialRecord:
-        e = self.manifest.entry(subject, gesture, trial)
-        return read_trial(
+        """Read one indexed trial; its channel counts and motion kind must match the manifest."""
+        m = self.manifest
+        e = m.entry(subject, gesture, trial)
+        record = read_trial(
             self.directory / e.path,
-            sample_rate_hz=self.manifest.sample_rate_hz,
+            sample_rate_hz=m.sample_rate_hz,
             gesture_id=gesture,
             subject_id=subject,
             trial_id=trial,
         )
+        imu = record.imu
+        c1 = record.semg.channel_count
+        c2 = 0 if imu is None else imu.channel_count
+        problem = None
+        if c1 != m.semg_channels:
+            problem = f"{c1} muscle channels, manifest declares {m.semg_channels}"
+        elif c2 != m.imu_channels:
+            problem = f"{c2} motion channels, manifest declares {m.imu_channels}"
+        elif imu is not None and imu.modality != m.imu_kind:
+            problem = f"motion kind {imu.modality!r}, manifest declares {m.imu_kind!r}"
+        if problem is not None:
+            raise DataError(f"subject {subject}, gesture {gesture}, trial {trial} ({e.path}): "
+                            f"trial holds {problem}")
+        return record
 
     def validate_files(self):
         """Every index entry resolves and every trial file is indexed."""

@@ -18,7 +18,7 @@ import numpy as np
 from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, DivergenceError
 from .nn import checkpoint
-from .nn.layers import LayerSpec, ParamSet, backprop, init_stack_params, run_stack
+from .nn.layers import EVAL_BATCH, LayerSpec, ParamSet, backprop, init_stack_params, run_stack
 from .nn.losses import cross_entropy_loss
 from .nn.optim import SgdState, sgd_step
 from .nn.tensor import Tensor, concat, no_grad
@@ -239,7 +239,7 @@ def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainCon
     return model.params, history
 
 
-def predict(model: FusionModel, stream_arrays, batch_size: int = 1024):
+def predict(model: FusionModel, stream_arrays, batch_size: int = EVAL_BATCH):
     """Eval-mode class predictions; ties break toward the lowest index.
 
     Returns (labels, probabilities).

@@ -23,6 +23,7 @@ from .codec import DictCodec, sidecar
 from .errors import ConfigError, DataError, DivergenceError, StatsMismatchError
 from .nn import checkpoint
 from .nn.layers import (
+    EVAL_BATCH,
     LayerSpec,
     ParamSet,
     backprop,
@@ -365,7 +366,7 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     return gen, disc, history
 
 
-def _training_pair_correlation(gen_cfg, params, semg, imu, batch_size=1024) -> float:
+def _training_pair_correlation(gen_cfg, params, semg, imu, batch_size=EVAL_BATCH) -> float:
     """Mean per-channel correlation of eval-mode outputs vs paired targets."""
     outs = []
     with no_grad():
@@ -430,7 +431,7 @@ def normalize_generator_inputs(bundle: GeneratorBundle, semg_windows) -> np.ndar
     return apply_norm(np.asarray(semg_windows), bundle.semg_stats, "zscore")
 
 
-def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = 1024) -> np.ndarray:
+def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EVAL_BATCH) -> np.ndarray:
     """Synthesize physical-unit motion windows from normalized muscle windows.
 
     ``semg_windows`` must be (n, k, c1) windows already normalized with the

@@ -15,6 +15,12 @@ from ..errors import ConfigError, StatsMismatchError
 from . import tensor as T
 from .tensor import Tensor
 
+# Default chunk of eval-mode forwards (synthesis, prediction, snapshot
+# scoring). With 16 muscle channels, 10-frame windows and the desk widths,
+# the widest im2col or transposed-conv column matrix is 12 MB at 256 windows
+# and 47 MB at 1024, where every layer streams it through memory.
+EVAL_BATCH = 256
+
 LAYER_KINDS = (
     "conv2d",
     "tconv2d",

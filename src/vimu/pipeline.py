@@ -11,6 +11,7 @@ tags against the split plan.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import zlib
 from dataclasses import dataclass, field, replace
@@ -159,9 +160,37 @@ class WindowTable:
         return int(self.labels.shape[0])
 
 
+def _geometry(record) -> tuple:
+    imu = record.imu
+    return (record.semg.frames, record.semg.sample_rate_hz, record.semg.channel_count,
+            None if imu is None else (imu.channel_count, imu.modality))
+
+
+def _chain_side_by_side(series, chain, spec: PreprocSpec):
+    """Run ``chain`` once over equal-geometry series placed side by side.
+
+    Returns (windows, origins): windows is (len(series) * n, k, c), record
+    by record, and origins the n window start frames every record shares.
+    Every chain stage works column by column, so each record's windows equal
+    those of the chain run on that record alone, bit for bit.
+    """
+    joined = series[0].with_data(np.concatenate([s.data for s in series], axis=1))
+    windows = sigproc.segment_series(chain(joined, spec), spec)
+    stacked = sigproc.stack_windows(windows)
+    n, k, _ = stacked.shape
+    c = series[0].channel_count
+    per_record = stacked.reshape(n, k, len(series), c).transpose(2, 0, 1, 3)
+    return per_record.reshape(len(series) * n, k, c), [w.origin_frame for w in windows]
+
+
 def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpec,
                     subjects=None, trials=None) -> WindowTable:
-    """Trim, filter, decimate, and segment every requested trial."""
+    """Trim, filter, decimate, and segment every requested trial.
+
+    One subject's trials are loaded at a time, in (gesture, trial) order, and
+    split into runs of consecutive trials with the same geometry; each chain
+    then runs once per run instead of once per trial.
+    """
     from .data import trim_trial
 
     manifest = dataset.manifest
@@ -170,27 +199,33 @@ def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpe
     gan_parts, hgr_parts, imu_parts = [], [], []
     labels, subj_tags, trial_tags, origins = [], [], [], []
     for subject in subjects:
+        records = []
         for gesture in range(manifest.gestures):
             for trial in trials:
                 record = dataset.load_trial(subject, gesture, trial)
                 if profile.trim is not None:
                     record = trim_trial(record, profile.trim.rest_lead_s, profile.trim.action_s)
-                semg_gan = sigproc.segment_series(sigproc.gan_chain_semg(record.semg, spec), spec)
-                semg_hgr = sigproc.segment_series(sigproc.hgr_chain_semg(record.semg, spec), spec)
-                if len(semg_gan) != len(semg_hgr):
-                    raise DataError("chain window counts diverged")
-                gan_parts.append(sigproc.stack_windows(semg_gan))
-                hgr_parts.append(sigproc.stack_windows(semg_hgr))
-                if record.imu is not None:
-                    imu_windows = sigproc.segment_series(sigproc.imu_chain(record.imu, spec), spec)
-                    if len(imu_windows) != len(semg_gan):
-                        raise DataError("motion window count diverged from muscle windows")
-                    imu_parts.append(sigproc.stack_windows(imu_windows))
-                count = len(semg_gan)
-                labels.extend([gesture] * count)
+                records.append(record)
+        for _, run in itertools.groupby(records, key=_geometry):
+            run = list(run)
+            semg = [r.semg for r in run]
+            semg_gan, starts = _chain_side_by_side(semg, sigproc.gan_chain_semg, spec)
+            semg_hgr, hgr_starts = _chain_side_by_side(semg, sigproc.hgr_chain_semg, spec)
+            if len(hgr_starts) != len(starts):
+                raise DataError("chain window counts diverged")
+            gan_parts.append(semg_gan)
+            hgr_parts.append(semg_hgr)
+            if run[0].imu is not None:
+                imu, imu_starts = _chain_side_by_side([r.imu for r in run], sigproc.imu_chain, spec)
+                if len(imu_starts) != len(starts):
+                    raise DataError("motion window count diverged from muscle windows")
+                imu_parts.append(imu)
+            count = len(starts)
+            for record in run:
+                labels.extend([record.gesture_id] * count)
                 subj_tags.extend([subject] * count)
-                trial_tags.extend([trial] * count)
-                origins.extend(w.origin_frame for w in semg_gan)
+                trial_tags.extend([record.trial_id] * count)
+                origins.extend(starts)
     if not labels:
         raise DataError("no windows extracted")
     return WindowTable(

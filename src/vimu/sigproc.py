@@ -11,6 +11,13 @@ The two preparation chains used downstream:
 All filters run causally at the full rate and decimation is plain sample
 selection afterwards; windows in milliseconds convert to samples by floor.
 Every operation is a pure function of its inputs.
+
+Every chain stage works column by column: rectification, the trailing-window
+sums, the Butterworth recurrence, decimation and ``segment`` never mix
+channels. A chain run over several equal-length series placed side by side
+therefore gives each series' columns exactly, bit for bit, what the chain
+gives that series alone. ``pipeline.extract_windows`` relies on this to filter
+a subject's trials in one call per chain.
 """
 from __future__ import annotations
 

@@ -8,7 +8,15 @@ import pytest
 from test_pipeline import tiny_config
 
 from vimu.cli import main
-from vimu.data import Dataset, SynthConfig, make_split, resolve_profile, synth_generate
+from vimu.data import (
+    Dataset,
+    SynthConfig,
+    make_split,
+    read_trial,
+    resolve_profile,
+    synth_generate,
+    write_trial,
+)
 from vimu.gan import load_discriminator
 from vimu.pipeline import (
     derive_seed,
@@ -187,6 +195,15 @@ def _without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
 
+def _widen_last_trial(directory):
+    """Rewrite the last indexed trial with 10 muscle channels; the rest keep 8."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / manifest["index"][-1]["path"]
+    record = read_trial(path, manifest["sample_rate_hz"])
+    wider = record.semg.with_data(np.tile(record.semg.data, (1, 2))[:, :10])
+    write_trial(path, replace(record, semg=wider))
+
+
 # A report as `vimu run` writes it, for the rows that change one key.
 REPORT = {
     "vimu_report": 1, "per_subject": {"unimodal": {"1": {"window_accuracy": 0.5,
@@ -230,6 +247,12 @@ BAD_INPUTS = {
     "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
     "manifest sample rate zero": ("manifest.json", lambda meta: {**meta, "sample_rate_hz": 0}, 2,
                                   "sample rate"),
+    "one trial wider than the manifest": ("trial", _widen_last_trial, 2,
+                                          "10 muscle channels, manifest declares 8"),
+    "manifest imu_channels wrong": ("manifest.json", lambda meta: {**meta, "imu_channels": 5}, 2,
+                                    "3 motion channels, manifest declares 5"),
+    "manifest imu_kind gyro": ("manifest.json", lambda meta: {**meta, "imu_kind": "gyro"}, 2,
+                               "motion kind 'acc', manifest declares 'gyro'"),
     "report lacks per_subject": ("report.json", lambda _: {"vimu_report": 1}, 2, "per_subject"),
     "report version 2": ("report.json", lambda _: {**REPORT, "vimu_report": 2}, 2, "report version 2"),
     "report lacks its version": ("report.json", lambda _: _without("vimu_report")(REPORT), 2,
@@ -251,6 +274,12 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
         argv = ["run", "--config", str(path)]
     elif target == "synth":
         argv = ["synth", "--out", out, *corrupt]
+    elif target == "trial":
+        copy = tmp_path / "copy"
+        shutil.copytree(dataset_dir, copy)
+        corrupt(copy)
+        argv = ["preprocess", "--dataset", str(copy), "--out", out, "--window-ms", "200",
+                "--step-ms", "200", "--decimation", "4"]
     elif target == "report.json":
         path = tmp_path / target
         path.write_text(json.dumps(corrupt(None)))

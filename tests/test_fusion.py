@@ -274,6 +274,18 @@ class TestPredict:
         scaled, _ = predict(model, [x])
         assert np.array_equal(labels, scaled)
 
+    def test_default_chunks_match_one_batch(self):
+        # 640 windows are two and a half default chunks. A different GEMM
+        # height may move the last float32 bit of a probability, never a label.
+        model = build_multimodal(slim_stream(), slim_stream(channels=3),
+                                 FusionConfig(classes=5, hidden_units=16), seed=4)
+        rng = np.random.default_rng(6)
+        arrays = [rng.standard_normal((640, 10, c)).astype(np.float32) for c in (4, 3)]
+        labels, probs = predict(model, arrays)
+        whole_labels, whole_probs = predict(model, arrays, batch_size=640)
+        assert np.array_equal(labels, whole_labels)
+        assert np.allclose(probs, whole_probs, rtol=0, atol=1e-6)
+
 
 class TestBundleIO:
     def test_round_trip_predictions_match(self, tmp_path):

@@ -348,6 +348,15 @@ class TestGenerateVirtual:
         with pytest.raises(StatsMismatchError):
             generate_virtual(bundle, np.zeros((2, 10, 5), dtype=np.float32))
 
+    def test_default_chunks_equal_one_batch(self):
+        # 640 windows are two and a half default chunks; eval mode keeps no
+        # batch statistics, so the chunking moves no output bit.
+        bundle, _, _ = self._bundle()
+        semg = np.random.default_rng(5).standard_normal((640, 10, 4)).astype(np.float32)
+        chunked = generate_virtual(bundle, semg)
+        whole = generate_virtual(bundle, semg, batch_size=len(semg))
+        assert chunked.tobytes() == whole.tobytes()
+
 
 class TestBundleIO:
     def test_round_trip(self, tmp_path):

@@ -1,10 +1,22 @@
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vimu.data import Dataset, SplitPlan, SynthConfig, make_split, synth_generate, synthetic_profile
+from vimu import sigproc
+from vimu.data import (
+    Dataset,
+    SplitPlan,
+    SynthConfig,
+    make_split,
+    read_trial,
+    synth_generate,
+    synthetic_profile,
+    trim_trial,
+    write_trial,
+)
 from vimu.errors import ConfigError, DataError, LeakageError
 from vimu.gan import load_discriminator
 from vimu.pipeline import (
@@ -199,6 +211,73 @@ class TestWindowTable:
         table = extract_windows(ds, profile, PreprocSpec(window_ms=200.0, step_ms=200.0, decimation=4))
         assert set(table.trials.tolist()) == {1, 2, 3, 4}
         assert set(table.subjects.tolist()) == {1, 2}
+
+
+def per_trial_windows(dataset, profile, spec, subjects, trials) -> dict:
+    """Window arrays with every chain run on one trial at a time."""
+    parts = {"semg_gan": [], "semg_hgr": [], "imu": []}
+    tags = {"labels": [], "subjects": [], "trials": [], "origins": []}
+    chains = (("semg_gan", sigproc.gan_chain_semg, "semg"), ("semg_hgr", sigproc.hgr_chain_semg, "semg"),
+              ("imu", sigproc.imu_chain, "imu"))
+    for subject in sorted(subjects):
+        for gesture in range(dataset.manifest.gestures):
+            for trial in trials:
+                record = dataset.load_trial(subject, gesture, trial)
+                if profile.trim is not None:
+                    record = trim_trial(record, profile.trim.rest_lead_s, profile.trim.action_s)
+                for key, chain, payload in chains:
+                    windows = sigproc.segment_series(chain(getattr(record, payload), spec), spec)
+                    parts[key].append(sigproc.stack_windows(windows))
+                n = len(windows)
+                tags["labels"] += [gesture] * n
+                tags["subjects"] += [subject] * n
+                tags["trials"] += [trial] * n
+                tags["origins"] += [w.origin_frame for w in windows]
+    arrays = {key: np.concatenate(p, axis=0).astype(np.float32) for key, p in parts.items()}
+    dtypes = {"labels": np.int32, "subjects": np.int32, "trials": np.int32, "origins": np.int64}
+    arrays.update({key: np.asarray(v, dtype=dtypes[key]) for key, v in tags.items()})
+    return arrays
+
+
+def assert_same_windows(table, expected: dict):
+    for key, want in expected.items():
+        got = getattr(table, key)
+        assert got.dtype == want.dtype and got.shape == want.shape, key
+        assert got.tobytes() == want.tobytes(), key
+
+
+class TestStackedExtraction:
+    """extract_windows runs each chain once per run of equal-geometry trials."""
+
+    def test_desk_set_with_subject_and_trial_filter(self, tmp_path):
+        synth_generate(SynthConfig(seed=0), tmp_path / "desk")
+        ds = Dataset(tmp_path / "desk")
+        profile = synthetic_profile(ds.manifest)
+        spec = desk_config("").preproc
+        table = extract_windows(ds, profile, spec, subjects=[4, 2], trials=[3, 1, 2])
+        assert_same_windows(table, per_trial_windows(ds, profile, spec, [4, 2], [3, 1, 2]))
+
+    def test_untrimmed_trials_of_two_lengths(self, tmp_path):
+        root = tmp_path / "mixed"
+        synth_generate(SynthConfig(subjects=2, gestures=3, trials=2, trial_seconds=5.0, seed=7), root)
+        ds = Dataset(root)
+        # Shorten some trials so each subject's (gesture, trial) sequence holds
+        # several runs of equal length: 1000, 1000 | 900 | 1000 | 900, 900 frames.
+        for subject in (1, 2):
+            for gesture, trial in ((1, 1), (2, 1), (2, 2)):
+                path = root / ds.manifest.entry(subject, gesture, trial).path
+                record = read_trial(path, ds.manifest.sample_rate_hz)
+                semg, imu = (s.with_data(s.data[:900]) for s in (record.semg, record.imu))
+                write_trial(path, replace(record, semg=semg, imu=imu))
+        profile = replace(synthetic_profile(ds.manifest), trim=None)
+        spec = PreprocSpec(window_ms=200.0, step_ms=100.0, decimation=4)
+        table = extract_windows(ds, profile, spec)
+        expected = per_trial_windows(ds, profile, spec, [1, 2], [1, 2])
+        assert_same_windows(table, expected)
+        # the shortened trials hold fewer windows, so the set really splits into several runs
+        counts = [int(np.sum((table.subjects == 1) & (table.labels == g) & (table.trials == t)))
+                  for g in range(3) for t in (1, 2)]
+        assert counts[0] == counts[1] == counts[3] > counts[2] == counts[4] == counts[5]
 
 
 class TestConfig:

@@ -1,0 +1,83 @@
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from vimu import sigproc
+from vimu.sigproc import MultichannelSeries, PreprocSpec
+
+CHAINS = {
+    "gan_chain_semg": (sigproc.gan_chain_semg, "semg"),
+    "hgr_chain_semg": (sigproc.hgr_chain_semg, "semg"),
+    "imu_chain": (sigproc.imu_chain, "acc"),
+}
+
+
+@st.composite
+def chain_case(draw):
+    """A rate, a chain spec valid at that rate, and a frame count the chain accepts."""
+    rate = draw(st.sampled_from([50.0, 100.0, 200.0, 1000.0, 2000.0, 2040.0]))
+    decimation = draw(st.integers(1, 6))
+    # windows of 1 to 40 samples, written in milliseconds as a config would
+    rms_ms, mavg_ms = (1000.0 * draw(st.integers(1, 40)) / rate for _ in range(2))
+    cutoff = draw(st.floats(0.001, 0.45)) * rate
+    spec = PreprocSpec(decimation=decimation, rms_ms=rms_ms, mavg_ms=mavg_ms, butter_cutoff_hz=cutoff)
+    frames = draw(st.integers(decimation, 300))
+    return rate, spec, frames
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=chain_case(), name=st.sampled_from(sorted(CHAINS)),
+       widths=st.tuples(st.integers(1, 4), st.integers(1, 4)), seed=st.integers(0, 2**32 - 1))
+def test_chain_on_series_side_by_side_equals_chains_apart(case, name, widths, seed):
+    # extract_windows runs each chain once over many trials placed side by
+    # side; that is exact only because every stage works column by column.
+    rate, spec, frames = case
+    chain, modality = CHAINS[name]
+    rng = np.random.default_rng(seed)
+    parts = [MultichannelSeries(3.0 * rng.standard_normal((frames, c)), rate, modality) for c in widths]
+    joined = chain(MultichannelSeries(np.concatenate([p.data for p in parts], axis=1), rate, modality),
+                   spec)
+    apart = [chain(p, spec) for p in parts]
+    assert joined.sample_rate_hz == apart[0].sample_rate_hz
+    assert joined.data.tobytes() == np.concatenate([a.data for a in apart], axis=1).tobytes()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(frames=st.integers(1, 50), channels=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_rectification_is_idempotent(frames, channels, seed):
+    s = MultichannelSeries(np.random.default_rng(seed).standard_normal((frames, channels)), 200.0, "semg")
+    once = sigproc.rectify(s)
+    assert np.array_equal(sigproc.rectify(once).data, once.data)
+    assert np.all(once.data >= 0)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(value=st.floats(-1e3, 1e3), frames=st.integers(1, 200), width=st.integers(1, 60),
+       channels=st.integers(1, 4))
+def test_moving_average_of_a_constant_is_that_constant(value, frames, width, channels):
+    s = MultichannelSeries(np.full((frames, channels), value), 100.0, "acc")
+    out = sigproc.moving_average(s, 1000.0 * width / 100.0).data
+    assert np.allclose(out, value, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(value=st.floats(-1e3, 1e3), ratio=st.floats(0.01, 0.45), rate=st.sampled_from([100.0, 2000.0]))
+def test_butterworth_dc_gain_is_one(value, ratio, rate):
+    k = math.tan(math.pi * ratio)
+    a1 = (k - 1.0) / (k + 1.0)
+    # the step response settles as |a1|^n: run until that is below 1e-12
+    frames = 2 + int(math.log(1e-12) / math.log(max(abs(a1), 1e-12)))
+    s = MultichannelSeries(np.full((frames, 2), value), rate, "semg")
+    out = sigproc.butter_lowpass1(s, ratio * rate).data
+    assert np.allclose(out[-1], value, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(frames=st.integers(1, 500), factor=st.integers(1, 12), rate=st.floats(1.0, 5000.0))
+def test_decimation_keeps_ceil_n_over_f_frames(frames, factor, rate):
+    assume(frames >= factor)
+    out = sigproc.decimate(MultichannelSeries(np.zeros((frames, 2)), rate, "acc"), factor)
+    assert out.frames == -(-frames // factor)
+    assert out.sample_rate_hz == rate / factor

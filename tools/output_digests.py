@@ -9,6 +9,9 @@ report's `config_fingerprint`, do not depend on where it is. Comparing two
 such tables shows whether a change moved any output byte.
 
     PYTHONPATH=src python tools/output_digests.py --work digests_work --out digests.json
+
+With ``--compare PARENT.json`` it also prints every path that is missing,
+extra or different against that earlier table, and exits 1 if there is any.
 """
 import argparse
 import hashlib
@@ -58,13 +61,35 @@ def run_digests() -> dict:
     return digests
 
 
+def compare(parent: dict, table: dict) -> list:
+    """One line per path that is missing, extra or different in ``table``."""
+    lines = []
+    for path in sorted(parent.keys() | table.keys()):
+        if path not in table:
+            lines.append(f"missing   {path}")
+        elif path not in parent:
+            lines.append(f"extra     {path}")
+        elif parent[path] != table[path]:
+            lines.append(f"different {path}")
+    return lines
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--work", required=True, help="new directory for datasets and run outputs")
     parser.add_argument("--out", required=True, help="where to write the JSON table")
+    parser.add_argument("--compare", metavar="PARENT.json", default=None,
+                        help="earlier table to compare against; exit 1 on any difference")
     args = parser.parse_args()
     out = Path(args.out).resolve()
+    parent = None
+    if args.compare is not None:
+        parent = json.loads(Path(args.compare).read_text(encoding="utf-8"))
     Path(args.work).mkdir(parents=True)
     os.chdir(args.work)
     table = run_digests()
     out.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    if parent is not None:
+        lines = compare(parent, table)
+        print("\n".join(lines) if lines else f"all {len(table)} files identical")
+        raise SystemExit(1 if lines else 0)
