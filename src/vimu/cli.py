@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as vdata
 from . import fusion, gan, pipeline, sigproc
-from .codec import sidecar
+from .codec import read_json
 from .errors import ConfigError, DataError, DivergenceError
 
 
@@ -186,7 +186,7 @@ def _cmd_train_clf(args) -> int:
             raise DataError("--virtual is required for the semg+virtual stream layout")
         streams["imu"] = _load_virtual(args.virtual)
     classes = int(table.labels.max()) + 1
-    stats = {name: sigproc.fit_stats(arr.reshape(-1, arr.shape[-1])) for name, arr in streams.items()}
+    stats = {name: sigproc.fit_stats(arr) for name, arr in streams.items()}
     normalized = [sigproc.apply_norm(arr, stats[name], "zscore").astype(np.float32)
                   for name, arr in streams.items()]
     k = table.semg_hgr.shape[1]
@@ -261,8 +261,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with sidecar(args.report) as meta:
-        report = pipeline.MetricsReport.from_dict(meta)
+    report = read_json(args.report, pipeline.MetricsReport)
     formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
     written = pipeline.emit_report(report, args.out, formats)
     print("wrote " + ", ".join(str(p) for p in written))

@@ -1,11 +1,21 @@
-"""Dict codecs: config dataclasses to and from JSON, and checked JSON sidecars.
+"""Dict codecs: dataclasses to and from vimu's one on-disk JSON form.
 
-A config dataclass that inherits :class:`DictCodec` gets ``to_dict`` (tuples
-become lists, nested configs become dicts) and ``from_dict``, which checks
-every value against the field's annotation before building the instance:
-a non-object, an unknown key, a missing required key, or a value of the
-wrong kind raises :class:`ConfigError`. ``None`` passes only where the
-annotation allows it; lists come back as tuples.
+A dataclass that inherits :class:`DictCodec` gets ``to_dict`` and
+``from_dict``. ``to_dict`` turns nested codecs into dicts, tuples and lists
+into lists, float arrays into lists of floats (``tolist()``), and recurses
+into dict values. ``from_dict`` checks every value against the field's
+annotation before building the instance: a non-object, an unknown key, a
+missing required key, or a value of the wrong kind raises
+:class:`ConfigError`. ``None`` passes only where the annotation allows it;
+lists come back as tuples. Two container kinds decode element by element:
+an ``np.ndarray`` field is a 1-D list of real numbers in JSON and a float64
+array in memory, and a ``dict[str, X]`` field is a JSON object whose every
+value decodes as ``X``. A bare ``dict`` field holds any JSON object.
+
+Every JSON file vimu writes (manifests, synthetic-set configs, bundle
+sidecars, generator histories, reports) goes through :func:`write_json`:
+indent 2, sorted keys, a trailing newline, UTF-8. :func:`read_json` reads
+one back through a codec class, so every file is type-checked on load.
 """
 from __future__ import annotations
 
@@ -14,10 +24,12 @@ import functools
 import json
 import numbers
 import typing
-from contextlib import contextmanager
+from pathlib import Path
 from types import UnionType
 
-from .errors import ConfigError, FormatError
+import numpy as np
+
+from .errors import ConfigError, DataError, FormatError
 
 _KINDS = {int: numbers.Integral, float: numbers.Real}
 
@@ -29,10 +41,19 @@ def _decode(kind, value, where: str):
             return None
         (kind,) = (a for a in args if a is not type(None))
         args = typing.get_args(kind)
-    if typing.get_origin(kind) is tuple:
+    origin = typing.get_origin(kind)
+    if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where} must be a list, got {value!r}")
         return tuple(_decode(args[0], v, where) for v in value)
+    if origin is dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {type(value).__name__}")
+        return {k: _decode(args[1], v, f"{where}.{k}") for k, v in value.items()}
+    if kind is np.ndarray:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+        return np.asarray([_decode(float, v, where) for v in value], dtype=np.float64)
     if isinstance(kind, type) and issubclass(kind, DictCodec):
         return kind.from_dict(value)
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, _KINDS.get(kind, kind)):
@@ -40,19 +61,23 @@ def _decode(kind, value, where: str):
     return value
 
 
+def _encode(value):
+    if isinstance(value, DictCodec):
+        return value.to_dict()
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    return value
+
+
 class DictCodec:
-    """``to_dict``/``from_dict`` for a dataclass of plain, tuple or nested fields."""
+    """``to_dict``/``from_dict`` for a dataclass of plain, container or nested fields."""
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, DictCodec):
-                value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return {f.name: _encode(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
     @classmethod
     def from_dict(cls, d):
@@ -79,16 +104,19 @@ def _schema(cls):
     return {f.name: hints[f.name] for f in fields}, required
 
 
-@contextmanager
-def sidecar(path):
-    """Read a JSON sidecar; a malformed one, or a missing key inside the block, is a FormatError."""
+def write_json(path, doc):
+    """Write ``doc`` in the one on-disk form: indent 2, sorted keys, trailing newline, UTF-8."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def read_json(path, cls):
+    """Decode the JSON file at ``path`` as ``cls``.
+
+    Malformed JSON, a value the codec rejects, or a document that fails
+    ``cls``'s own checks is a :class:`FormatError` naming the file.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if not isinstance(meta, dict):
-            raise FormatError(f"{path} does not hold a JSON object")
-        yield meta
-    except KeyError as exc:
-        raise FormatError(f"{path} lacks key {exc}") from None
-    except (ConfigError, ValueError) as exc:
+            return cls.from_dict(json.load(fh))
+    except (ConfigError, DataError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from None

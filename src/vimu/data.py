@@ -16,18 +16,17 @@ not in the trial file.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import DictCodec, sidecar
+from .codec import DictCodec, read_json, write_json
 from .errors import ConfigError, DataError, FormatError
 from .sigproc import MultichannelSeries
 
@@ -251,18 +250,19 @@ class ManifestEntry(DictCodec):
 
 
 @dataclass
-class DatasetManifest:
+class DatasetManifest(DictCodec):
     """Dataset geometry plus the (subject, gesture, trial) -> file index."""
 
     name: str
-    subjects: list
-    gesture_labels: list
+    subjects: tuple[int, ...]
+    gesture_labels: tuple[str, ...]
     trials_per_gesture: int
     sample_rate_hz: float
     semg_channels: int
     imu_channels: int
     imu_kind: str
-    index: list = field(default_factory=list)
+    index: tuple[ManifestEntry, ...]
+    gst_version: int = MANIFEST_VERSION
 
     def __post_init__(self):
         if self.semg_channels < 1:
@@ -272,6 +272,12 @@ class DatasetManifest:
         self._by_key = {(e.subject, e.gesture, e.trial): e for e in self.index}
         if len(self._by_key) != len(self.index):
             raise DataError("manifest index holds duplicate (subject, gesture, trial) entries")
+
+    @classmethod
+    def from_dict(cls, d) -> "DatasetManifest":
+        if isinstance(d, dict) and d.get("gst_version") != MANIFEST_VERSION:
+            raise FormatError(f"unsupported manifest version {d.get('gst_version')!r}")
+        return super().from_dict(d)
 
     @property
     def gestures(self) -> int:
@@ -284,38 +290,6 @@ class DatasetManifest:
             raise DataError(
                 f"no trial indexed for subject {subject}, gesture {gesture}, trial {trial}"
             ) from None
-
-    def to_dict(self) -> dict:
-        return {
-            "gst_version": MANIFEST_VERSION,
-            "name": self.name,
-            "subjects": list(self.subjects),
-            "gesture_labels": list(self.gesture_labels),
-            "trials_per_gesture": self.trials_per_gesture,
-            "sample_rate_hz": self.sample_rate_hz,
-            "semg_channels": self.semg_channels,
-            "imu_channels": self.imu_channels,
-            "imu_kind": self.imu_kind,
-            "index": [e.to_dict() for e in self.index],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetManifest":
-        if d.get("gst_version") != MANIFEST_VERSION:
-            raise FormatError(f"unsupported manifest version {d.get('gst_version')!r}")
-        if not isinstance(d["index"], list):
-            raise ConfigError(f"manifest index must be a list, got {type(d['index']).__name__}")
-        return cls(
-            name=d["name"],
-            subjects=list(d["subjects"]),
-            gesture_labels=list(d["gesture_labels"]),
-            trials_per_gesture=d["trials_per_gesture"],
-            sample_rate_hz=d["sample_rate_hz"],
-            semg_channels=d["semg_channels"],
-            imu_channels=d["imu_channels"],
-            imu_kind=d["imu_kind"],
-            index=[ManifestEntry.from_dict(e) for e in d["index"]],
-        )
 
 
 @contextmanager
@@ -343,8 +317,7 @@ class Dataset:
         manifest_path = self.directory / "manifest.json"
         if not manifest_path.exists():
             raise DataError(f"no manifest.json under {self.directory}")
-        with sidecar(manifest_path) as meta:
-            self.manifest = DatasetManifest.from_dict(meta)
+        self.manifest = read_json(manifest_path, DatasetManifest)
 
     def load_trial(self, subject: int, gesture: int, trial: int) -> TrialRecord:
         """Read one indexed trial; its channel counts and motion kind must match the manifest."""
@@ -385,12 +358,6 @@ class Dataset:
                 raise DataError(f"orphan trial file {p}")
 
 
-def save_manifest(directory, manifest: DatasetManifest):
-    with open(Path(directory) / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # database profiles and experiment splits
 
@@ -407,8 +374,6 @@ class DatabaseProfile:
     sample_rate_hz: float
     trials_total: int
     usable_trials: tuple
-    exp1_gan_trials: tuple
-    exp2_gan_trials: tuple
     clf_train_trials: tuple
     clf_test_trials: tuple
     trim: TrimSpec | None = None
@@ -419,7 +384,6 @@ PROFILES = {
         name="femg_vpf", subjects=28, gestures=38, semg_channels=8, imu_channels=3,
         imu_kind="euler", sample_rate_hz=2040.0, trials_total=6,
         usable_trials=(1, 2, 3, 4),
-        exp1_gan_trials=(1, 2, 3, 4), exp2_gan_trials=(1, 3),
         clf_train_trials=(1, 3), clf_test_trials=(2, 4),
         trim=TrimSpec(1.0, 3.0),
     ),
@@ -427,35 +391,30 @@ PROFILES = {
         name="ninapro_db2", subjects=40, gestures=50, semg_channels=12, imu_channels=36,
         imu_kind="acc", sample_rate_hz=2000.0, trials_total=6,
         usable_trials=(1, 2, 3, 4, 5, 6),
-        exp1_gan_trials=(1, 2, 3, 4, 5, 6), exp2_gan_trials=(1, 3, 4, 6),
         clf_train_trials=(1, 3, 4, 6), clf_test_trials=(2, 5),
     ),
     "ninapro_db3": DatabaseProfile(
         name="ninapro_db3", subjects=6, gestures=50, semg_channels=12, imu_channels=36,
         imu_kind="acc", sample_rate_hz=2000.0, trials_total=6,
         usable_trials=(1, 2, 3, 4, 5, 6),
-        exp1_gan_trials=(1, 2, 3, 4, 5, 6), exp2_gan_trials=(1, 3, 4, 6),
         clf_train_trials=(1, 3, 4, 6), clf_test_trials=(2, 5),
     ),
     "ninapro_db5": DatabaseProfile(
         name="ninapro_db5", subjects=10, gestures=53, semg_channels=16, imu_channels=3,
         imu_kind="acc", sample_rate_hz=200.0, trials_total=6,
         usable_trials=(1, 2, 3, 4, 5, 6),
-        exp1_gan_trials=(1, 2, 3, 4, 5, 6), exp2_gan_trials=(1, 3, 4, 6),
         clf_train_trials=(1, 3, 4, 6), clf_test_trials=(2, 5),
     ),
     "ninapro_db7": DatabaseProfile(
         name="ninapro_db7", subjects=20, gestures=41, semg_channels=12, imu_channels=36,
         imu_kind="acc", sample_rate_hz=2000.0, trials_total=6,
         usable_trials=(1, 2, 3, 4, 5, 6),
-        exp1_gan_trials=(1, 2, 3, 4, 5, 6), exp2_gan_trials=(1, 3, 4, 6),
         clf_train_trials=(1, 3, 4, 6), clf_test_trials=(2, 5),
     ),
     "siem": DatabaseProfile(
         name="siem", subjects=20, gestures=12, semg_channels=8, imu_channels=3,
         imu_kind="euler", sample_rate_hz=2040.0, trials_total=18,
         usable_trials=(1, 2, 3, 4, 5, 6),
-        exp1_gan_trials=(1, 2, 3, 4, 5, 6), exp2_gan_trials=(1, 3, 4, 6),
         clf_train_trials=(1, 3, 4, 6), clf_test_trials=(2, 5),
     ),
 }
@@ -482,8 +441,6 @@ def synthetic_profile(manifest: DatasetManifest, trim: TrimSpec | None = None) -
         sample_rate_hz=manifest.sample_rate_hz,
         trials_total=manifest.trials_per_gesture,
         usable_trials=trials,
-        exp1_gan_trials=trials,
-        exp2_gan_trials=train,
         clf_train_trials=train,
         clf_test_trials=test,
         trim=trim if trim is not None else TrimSpec(1.0, 3.0),
@@ -516,7 +473,7 @@ def make_split(manifest: DatasetManifest, experiment: str, profile: DatabaseProf
     """Build the cohort/trial plan for "exp1" or "exp2".
 
     exp1: the first half of the sorted subjects (ceil on odd counts) trains
-    the generator on its trial column; the rest are recognition subjects.
+    the generator on every usable trial; the rest are recognition subjects.
     exp2: every subject serves both roles and the generator sees only the
     recognition training trials.
     """
@@ -534,7 +491,7 @@ def make_split(manifest: DatasetManifest, experiment: str, profile: DatabaseProf
         plan = SplitPlan(
             gan_subjects=subjects[:half],
             recognition_subjects=subjects[half:],
-            gan_train_trials=list(profile.exp1_gan_trials),
+            gan_train_trials=list(profile.usable_trials),
             clf_train_trials=list(profile.clf_train_trials),
             clf_test_trials=list(profile.clf_test_trials),
         )
@@ -542,7 +499,7 @@ def make_split(manifest: DatasetManifest, experiment: str, profile: DatabaseProf
         plan = SplitPlan(
             gan_subjects=list(subjects),
             recognition_subjects=list(subjects),
-            gan_train_trials=list(profile.exp2_gan_trials),
+            gan_train_trials=list(profile.clf_train_trials),
             clf_train_trials=list(profile.clf_train_trials),
             clf_test_trials=list(profile.clf_test_trials),
         )
@@ -555,13 +512,14 @@ def manifest_for_profile(profile: DatabaseProfile) -> DatasetManifest:
     """Geometry-only manifest matching a profile (no trial files)."""
     return DatasetManifest(
         name=profile.name,
-        subjects=list(range(1, profile.subjects + 1)),
-        gesture_labels=[f"g{i:02d}" for i in range(profile.gestures)],
+        subjects=tuple(range(1, profile.subjects + 1)),
+        gesture_labels=tuple(f"g{i:02d}" for i in range(profile.gestures)),
         trials_per_gesture=profile.trials_total,
         sample_rate_hz=profile.sample_rate_hz,
         semg_channels=profile.semg_channels,
         imu_channels=profile.imu_channels,
         imu_kind=profile.imu_kind,
+        index=(),
     )
 
 
@@ -707,17 +665,15 @@ def synth_generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
                     index.append(ManifestEntry(subject, gesture, trial, rel))
         manifest = DatasetManifest(
             name="synthetic",
-            subjects=list(range(1, cfg.subjects + 1)),
-            gesture_labels=[f"g{i:02d}" for i in range(cfg.gestures)],
+            subjects=tuple(range(1, cfg.subjects + 1)),
+            gesture_labels=tuple(f"g{i:02d}" for i in range(cfg.gestures)),
             trials_per_gesture=cfg.trials,
             sample_rate_hz=cfg.sample_rate_hz,
             semg_channels=cfg.semg_channels,
             imu_channels=cfg.imu_channels,
             imu_kind=cfg.imu_kind,
-            index=index,
+            index=tuple(index),
         )
-        save_manifest(out_dir, manifest)
-        with open(out_dir / "synth_config.json", "w", encoding="utf-8") as fh:
-            json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out_dir / "manifest.json", manifest.to_dict())
+        write_json(out_dir / "synth_config.json", cfg.to_dict())
     return manifest

@@ -9,13 +9,12 @@ variant is the same network with a single stream.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .codec import DictCodec, sidecar
+from .codec import DictCodec, read_json, write_json
 from .errors import ConfigError, DataError, DivergenceError
 from .nn import checkpoint
 from .nn.layers import EVAL_BATCH, LayerSpec, ParamSet, backprop, init_stack_params, run_stack
@@ -258,42 +257,49 @@ def predict(model: FusionModel, stream_arrays, batch_size: int = EVAL_BATCH):
 # ---------------------------------------------------------------------------
 # classifier bundle persistence
 
+@dataclass
+class ClassifierSidecar(DictCodec):
+    """``classifier.json``: stream and fusion configs, each stream's input stats, provenance."""
+
+    streams: dict[str, StreamConfig]
+    fusion: FusionConfig
+    stream_stats: dict[str, ChannelStats]
+    seed: int
+    init_record: dict
+    extra: dict
+
+    def __post_init__(self):
+        if set(self.stream_stats) != set(self.streams):
+            raise ConfigError(f"stream_stats {sorted(self.stream_stats)} do not match "
+                              f"streams {sorted(self.streams)}")
+
+
 def save_classifier_bundle(directory, model: FusionModel, stream_stats: dict, seed: int,
                            extra: dict | None = None):
     """Checkpoint plus sidecar (architecture, input stats, provenance)."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     checkpoint.save_tensors(directory / "classifier.ckpt", model.params.state_dict())
-    meta = {
-        "streams": {name: cfg.to_dict() for name, cfg in model.stream_cfgs.items()},
-        "fusion": model.fusion_cfg.to_dict(),
-        "stream_stats": {name: stats.to_dict() for name, stats in stream_stats.items()},
-        "seed": seed,
-        "init_record": model.params.init_record,
-        "extra": extra or {},
-    }
-    with open(directory / "classifier.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta = ClassifierSidecar(model.stream_cfgs, model.fusion_cfg, stream_stats, seed,
+                             model.params.init_record, extra or {})
+    write_json(directory / "classifier.json", meta.to_dict())
 
 
 def load_classifier_bundle(directory):
-    """Rebuild a model (and its input stats) from a saved bundle."""
+    """Rebuild a model, its input stats and its decoded sidecar from a saved bundle.
+
+    The layout is chosen by the set of stream names; a two-stream model is
+    built muscle first, the order the fusion head concatenates.
+    """
     directory = Path(directory)
-    with sidecar(directory / "classifier.json") as meta:
-        for key in ("streams", "stream_stats"):
-            if not isinstance(meta[key], dict):
-                raise ConfigError(f"{key!r} must be a JSON object, got {type(meta[key]).__name__}")
-        stream_cfgs = {name: StreamConfig.from_dict(d) for name, d in meta["streams"].items()}
-        fusion_cfg = FusionConfig.from_dict(meta["fusion"])
-        stats = {name: ChannelStats.from_dict(d) for name, d in meta["stream_stats"].items()}
-    names = list(stream_cfgs)
-    if names == ["semg"]:
-        model = build_unimodal(stream_cfgs["semg"], fusion_cfg, seed=0)
-    elif names == ["semg", "imu"]:
-        model = build_multimodal(stream_cfgs["semg"], stream_cfgs["imu"], fusion_cfg, seed=0)
+    meta = read_json(directory / "classifier.json", ClassifierSidecar)
+    names = set(meta.streams)
+    if names == {"semg"}:
+        model = build_unimodal(meta.streams["semg"], meta.fusion, seed=0)
+    elif names == {"semg", "imu"}:
+        model = build_multimodal(meta.streams["semg"], meta.streams["imu"], meta.fusion, seed=0)
     else:
-        raise DataError(f"unsupported stream layout {names}")
+        raise DataError(f"unsupported stream layout {sorted(names)}")
     model.params.load_state_dict(checkpoint.load_tensors(directory / "classifier.ckpt"))
-    model.params.init_record = meta.get("init_record", {})
-    return model, stats, meta
+    model.params.init_record = meta.init_record
+    return model, meta.stream_stats, meta

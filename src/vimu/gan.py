@@ -13,14 +13,13 @@ purely adversarial.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codec import DictCodec, sidecar
-from .errors import ConfigError, DataError, DivergenceError, StatsMismatchError
+from .codec import DictCodec, read_json, write_json
+from .errors import ConfigError, DataError, DivergenceError, FormatError, StatsMismatchError
 from .nn import checkpoint
 from .nn.layers import (
     EVAL_BATCH,
@@ -459,35 +458,46 @@ def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EV
     return invert_norm(normalized, bundle.imu_stats, "minmax_pm1")
 
 
+@dataclass
+class GeneratorSidecar(DictCodec):
+    """``generator.json``: the generator's geometry and stats, provenance, and the critic's config.
+
+    ``discriminator`` is recorded only when the bundle holds a critic
+    checkpoint and its config; the key is then absent, not null.
+    """
+
+    generator: GeneratorConfig
+    semg_stats: ChannelStats
+    imu_stats: ChannelStats
+    seed: int
+    data_fingerprint: str
+    init_record: dict
+    extra: dict
+    discriminator: DiscriminatorConfig | None = None
+
+
 def save_generator_bundle(directory, bundle: GeneratorBundle, disc_params: ParamSet | None = None,
                           disc_cfg: DiscriminatorConfig | None = None):
     """Write generator (and optionally discriminator) checkpoints + sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     checkpoint.save_tensors(directory / "generator.ckpt", bundle.params.state_dict())
-    meta = {
-        "generator": bundle.cfg.to_dict(),
-        "semg_stats": bundle.semg_stats.to_dict(),
-        "imu_stats": bundle.imu_stats.to_dict(),
-        "seed": bundle.seed,
-        "data_fingerprint": bundle.data_fingerprint,
-        "init_record": bundle.params.init_record,
-        "extra": bundle.extra,
-    }
     if disc_params is not None:
         checkpoint.save_tensors(directory / "discriminator.ckpt", disc_params.state_dict())
-        if disc_cfg is not None:
-            meta["discriminator"] = disc_cfg.to_dict()
-    with open(directory / "generator.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta = GeneratorSidecar(bundle.cfg, bundle.semg_stats, bundle.imu_stats, bundle.seed,
+                            bundle.data_fingerprint, bundle.params.init_record, bundle.extra,
+                            disc_cfg if disc_params is not None else None).to_dict()
+    if meta["discriminator"] is None:
+        del meta["discriminator"]
+    write_json(directory / "generator.json", meta)
 
 
 def load_discriminator(directory):
     """Rebuild the critic a bundle saved: (its recorded config, params)."""
     directory = Path(directory)
-    with sidecar(directory / "generator.json") as meta:
-        cfg = DiscriminatorConfig.from_dict(meta["discriminator"])
+    cfg = read_json(directory / "generator.json", GeneratorSidecar).discriminator
+    if cfg is None:
+        raise FormatError(f"{directory / 'generator.json'} records no discriminator")
     params = build_discriminator(cfg, seed=0)
     params.load_state_dict(checkpoint.load_tensors(directory / "discriminator.ckpt"))
     return cfg, params
@@ -495,19 +505,9 @@ def load_discriminator(directory):
 
 def load_generator_bundle(directory) -> GeneratorBundle:
     directory = Path(directory)
-    with sidecar(directory / "generator.json") as meta:
-        cfg = GeneratorConfig.from_dict(meta["generator"])
-        semg_stats = ChannelStats.from_dict(meta["semg_stats"])
-        imu_stats = ChannelStats.from_dict(meta["imu_stats"])
-    params = build_generator(cfg, seed=0)
+    meta = read_json(directory / "generator.json", GeneratorSidecar)
+    params = build_generator(meta.generator, seed=0)
     params.load_state_dict(checkpoint.load_tensors(directory / "generator.ckpt"))
-    params.init_record = meta.get("init_record", {})
-    return GeneratorBundle(
-        cfg=cfg,
-        params=params,
-        semg_stats=semg_stats,
-        imu_stats=imu_stats,
-        seed=meta.get("seed", 0),
-        data_fingerprint=meta.get("data_fingerprint", ""),
-        extra=meta.get("extra", {}),
-    )
+    params.init_record = meta.init_record
+    return GeneratorBundle(meta.generator, params, meta.semg_stats, meta.imu_stats,
+                           meta.seed, meta.data_fingerprint, meta.extra)

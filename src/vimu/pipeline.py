@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import sigproc
-from .codec import DictCodec
+from .codec import DictCodec, write_json
 from .data import Dataset, DatabaseProfile, SplitPlan, make_split, resolve_profile
 from .errors import ConfigError, DataError, LeakageError
 from .fusion import (
@@ -355,13 +355,10 @@ class MetricsReport(DictCodec):
     vimu_report: int = 1
 
     @classmethod
-    def from_dict(cls, d: dict) -> "MetricsReport":
-        if d.get("vimu_report") != 1:
+    def from_dict(cls, d) -> "MetricsReport":
+        if isinstance(d, dict) and d.get("vimu_report") != 1:
             raise DataError(f"unsupported report version {d.get('vimu_report')!r}")
         return super().from_dict(d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def _summarize(per_subject: dict) -> dict:
@@ -392,7 +389,7 @@ def emit_report(report: MetricsReport, out_dir, formats=("json", "csv", "svg")) 
     for fmt in formats:
         if fmt == "json":
             path = out_dir / "report.json"
-            path.write_text(report.to_json(), encoding="utf-8")
+            write_json(path, report.to_dict())
         elif fmt == "csv":
             path = out_dir / "report.csv"
             lines = ["arm,subject,window_accuracy,trial_majority_accuracy"]
@@ -459,10 +456,6 @@ def render_report_svg(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 # the full pipeline
 
-def _fit_stream_stats(arrays: np.ndarray):
-    return fit_stats(arrays.reshape(-1, arrays.shape[-1]))
-
-
 def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
                            cfg: GanTrainConfig, out_dir=None):
     """Train the generator on one cohort's raw (muscle, motion) window pairs.
@@ -474,8 +467,8 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
     its recorded config, and ``history.json``. Returns (bundle,
     discriminator params, history).
     """
-    semg_stats = _fit_stream_stats(semg_windows)
-    imu_stats = _fit_stream_stats(imu_windows)
+    semg_stats = fit_stats(semg_windows)
+    imu_stats = fit_stats(imu_windows)
     semg_norm = apply_norm(semg_windows, semg_stats, "zscore").astype(np.float32)
     imu_norm = apply_norm(imu_windows, imu_stats, "minmax_pm1").astype(np.float32)
     gen_params, disc_params, history = train_gan(semg_norm, imu_norm, cfg)
@@ -492,9 +485,7 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
     if out_dir is not None:
         save_generator_bundle(out_dir, bundle, disc_params,
                               DiscriminatorConfig.from_dict(history["discriminator"]))
-        Path(out_dir, "history.json").write_text(
-            json.dumps(history, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(Path(out_dir, "history.json"), history)
     return bundle, disc_params, history
 
 
@@ -546,7 +537,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             stream_data = {"semg": table.semg_hgr, "imu": table.imu}
 
         # Per-arm input normalization, fitted on the training cohort only.
-        stream_stats = {name: _fit_stream_stats(arr[train_mask]) for name, arr in stream_data.items()}
+        stream_stats = {name: fit_stats(arr[train_mask]) for name, arr in stream_data.items()}
         normalized = {
             name: apply_norm(arr, stream_stats[name], "zscore").astype(np.float32)
             for name, arr in stream_data.items()

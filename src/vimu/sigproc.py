@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import DictCodec
-from .errors import ConfigError, DataError, ModalityError, StatsMismatchError
+from .errors import DataError, ModalityError, StatsMismatchError
 
 MODALITIES = ("semg", "acc", "euler")
 
@@ -80,36 +80,24 @@ class SignalWindow:
 
 
 @dataclass(frozen=True)
-class ChannelStats:
-    """Per-channel statistics fitted on training data only."""
+class ChannelStats(DictCodec):
+    """Per-channel statistics fitted on training data only: four equal-length vectors."""
 
     minimum: np.ndarray
     maximum: np.ndarray
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        shapes = {name: np.shape(v) for name, v in vars(self).items()}
+        if len(set(shapes.values())) != 1 or len(shapes["minimum"]) != 1:
+            raise StatsMismatchError(f"ChannelStats needs four equal-length vectors, got shapes {shapes}")
+        if not all(np.all(np.isfinite(v)) for v in vars(self).values()):
+            raise DataError("ChannelStats holds non-finite values")
+
     @property
     def channels(self) -> int:
         return int(self.minimum.shape[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "minimum": self.minimum.tolist(),
-            "maximum": self.maximum.tolist(),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelStats":
-        if not isinstance(d, dict):
-            raise ConfigError(f"channel stats must be a JSON object, got {type(d).__name__}")
-        return cls(
-            np.asarray(d["minimum"], dtype=np.float64),
-            np.asarray(d["maximum"], dtype=np.float64),
-            np.asarray(d["mean"], dtype=np.float64),
-            np.asarray(d["std"], dtype=np.float64),
-        )
 
 
 def window_samples(window_ms: float, sample_rate_hz: float) -> int:

@@ -384,8 +384,8 @@ def test_cli_run_determinism(desk_dataset, tmp_path):
 
 def test_cross_modal_fidelity(desk_dataset):
     from vimu.data import Dataset, synthetic_profile
-    from vimu.pipeline import _fit_stream_stats, extract_windows
-    from vimu.sigproc import PreprocSpec, apply_norm
+    from vimu.pipeline import extract_windows
+    from vimu.sigproc import PreprocSpec, apply_norm, fit_stats
 
     start = time.time()
     ds = Dataset(desk_dataset)
@@ -395,8 +395,8 @@ def test_cross_modal_fidelity(desk_dataset):
     table = extract_windows(ds, profile, spec)
     train_mask = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
     held_mask = np.isin(table.trials, plan.clf_test_trials)
-    semg_stats = _fit_stream_stats(table.semg_gan[train_mask])
-    imu_stats = _fit_stream_stats(table.imu[train_mask])
+    semg_stats = fit_stats(table.semg_gan[train_mask])
+    imu_stats = fit_stats(table.imu[train_mask])
     semg_norm = apply_norm(table.semg_gan[train_mask], semg_stats, "zscore").astype(np.float32)
     imu_norm = apply_norm(table.imu[train_mask], imu_stats, "minmax_pm1").astype(np.float32)
     cohort = extract_windows(ds, profile, spec, subjects=plan.gan_subjects,

@@ -128,6 +128,19 @@ class TestStagePipeline:
         table = load_window_table(windows_file)
         assert len(lines) == 1 + len(table)
 
+    def test_two_stream_bundle_evaluates(self, windows_file, tmp_path):
+        model_dir = tmp_path / "clf2"
+        assert main([
+            "train-clf", "--windows", str(windows_file), "--out", str(model_dir), "--stream", "semg+imu",
+            "--epochs", "1", "--batch-size", "16", "--conv-maps", "2", "--lc-maps", "2",
+            "--dense-units", "8", "--fusion-hidden", "8", "--seed", "0",
+        ]) == 0
+        preds = tmp_path / "preds.csv"
+        assert main(["evaluate", "--model", str(model_dir), "--windows", str(windows_file),
+                     "--out", str(preds)]) == 0
+        lines = preds.read_text().strip().split("\n")
+        assert len(lines) == 1 + len(load_window_table(windows_file))
+
 
 class TestRun:
     def test_run_writes_report(self, dataset_dir, tmp_path):
@@ -195,6 +208,17 @@ def _without(key):
     return lambda meta: {k: v for k, v in meta.items() if k != key}
 
 
+def _short_mean(*keys):
+    """Cut the ``mean`` vector of the stats at ``keys`` to its first value."""
+    def corrupt(meta):
+        stats = meta
+        for key in keys:
+            stats = stats[key]
+        stats["mean"] = stats["mean"][:1]
+        return meta
+    return corrupt
+
+
 def _widen_last_trial(directory):
     """Rewrite the last indexed trial with 10 muscle channels; the rest keep 8."""
     manifest = json.loads((directory / "manifest.json").read_text())
@@ -225,6 +249,16 @@ BAD_INPUTS = {
     "generator sidecar lacks imu_stats": ("generator.json", _without("imu_stats"), 2, "imu_stats"),
     "generator sidecar lacks generator": ("generator.json", _without("generator"), 2, "generator"),
     "generator sidecar not an object": ("generator.json", lambda meta: [meta], 2, "JSON object"),
+    "generator semg_stats mean too short": ("generator.json", _short_mean("semg_stats"), 2,
+                                            "'mean': (1,)"),
+    "generator imu_stats non-finite": ("generator.json",
+                                       lambda meta: {**meta, "imu_stats": {
+                                           **meta["imu_stats"],
+                                           "maximum": [float("nan")] * len(meta["imu_stats"]["maximum"])}},
+                                       2, "non-finite"),
+    "generator extra a string": ("generator.json", lambda meta: {**meta, "extra": "x"}, 2,
+                                 "GeneratorSidecar.extra"),
+    "generator sidecar lacks seed": ("generator.json", _without("seed"), 2, "needs 'seed'"),
     "classifier sidecar lacks stream_stats": ("classifier.json", _without("stream_stats"), 2,
                                               "stream_stats"),
     "classifier sidecar lacks fusion": ("classifier.json", _without("fusion"), 2, "fusion"),
@@ -237,7 +271,12 @@ BAD_INPUTS = {
     "classifier stream_stats holds a list": ("classifier.json",
                                              lambda meta: {**meta, "stream_stats": {
                                                  **meta["stream_stats"], "semg": [1, 2]}},
-                                             2, "channel stats"),
+                                             2, "ChannelStats"),
+    "classifier stream_stats mean too short": ("classifier.json", _short_mean("stream_stats", "semg"), 2,
+                                               "'mean': (1,)"),
+    "classifier stream_stats lacks a stream": ("classifier.json",
+                                               lambda meta: {**meta, "stream_stats": {}}, 2,
+                                               "do not match streams ['semg']"),
     "manifest lacks index": ("manifest.json", _without("index"), 2, "index"),
     "manifest index not a list": ("manifest.json", lambda meta: {**meta, "index": 5}, 2, "index"),
     "manifest entry with an extra key": ("manifest.json",
@@ -247,6 +286,17 @@ BAD_INPUTS = {
     "manifest not JSON": ("manifest.json", lambda meta: "{", 2, "manifest.json"),
     "manifest sample rate zero": ("manifest.json", lambda meta: {**meta, "sample_rate_hz": 0}, 2,
                                   "sample rate"),
+    "manifest semg_channels a string": ("manifest.json", lambda meta: {**meta, "semg_channels": "8"}, 2,
+                                        "DatasetManifest.semg_channels"),
+    "manifest sample_rate_hz null": ("manifest.json", lambda meta: {**meta, "sample_rate_hz": None}, 2,
+                                     "DatasetManifest.sample_rate_hz"),
+    "manifest subjects a number": ("manifest.json", lambda meta: {**meta, "subjects": 3}, 2,
+                                   "DatasetManifest.subjects"),
+    "manifest gesture_labels a number": ("manifest.json", lambda meta: {**meta, "gesture_labels": 2}, 2,
+                                         "DatasetManifest.gesture_labels"),
+    "manifest trials_per_gesture a string": ("manifest.json",
+                                             lambda meta: {**meta, "trials_per_gesture": "2"}, 2,
+                                             "DatasetManifest.trials_per_gesture"),
     "one trial wider than the manifest": ("trial", _widen_last_trial, 2,
                                           "10 muscle channels, manifest declares 8"),
     "manifest imu_channels wrong": ("manifest.json", lambda meta: {**meta, "imu_channels": 5}, 2,

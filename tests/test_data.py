@@ -233,7 +233,7 @@ class TestSplits:
         manifest = DatasetManifest(
             name="synthetic", subjects=[1, 2, 3, 4], gesture_labels=["a", "b", "c", "d"],
             trials_per_gesture=4, sample_rate_hz=200.0, semg_channels=8,
-            imu_channels=3, imu_kind="acc",
+            imu_channels=3, imu_kind="acc", index=(),
         )
         profile = synthetic_profile(manifest)
         assert profile.clf_train_trials == (1, 3)

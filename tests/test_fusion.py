@@ -299,3 +299,20 @@ class TestBundleIO:
         b = predict(loaded, [x])
         assert np.array_equal(a[0], b[0])
         assert np.allclose(loaded_stats["semg"].mean, stats["semg"].mean)
+
+    def test_two_stream_round_trip_is_bit_exact(self, tmp_path):
+        x, y = separable_windows(n_per_class=4, classes=2, seed=9)
+        motion = np.random.default_rng(9).standard_normal((len(x), 10, 3)).astype(np.float32)
+        model = build_multimodal(slim_stream(), slim_stream(channels=3),
+                                 FusionConfig(classes=2, hidden_units=16), seed=9)
+        train_classifier(model, [x, motion], y,
+                         ClfTrainConfig(batch_size=8, epochs=2, decay_epochs=(), seed=9))
+        stats = {"semg": fit_stats(x), "imu": fit_stats(motion)}
+        save_classifier_bundle(tmp_path, model, stats, seed=9)
+        loaded, loaded_stats, _ = load_classifier_bundle(tmp_path)
+        assert list(loaded.stream_cfgs) == ["semg", "imu"]
+        a_labels, a_probs = predict(model, [x, motion])
+        b_labels, b_probs = predict(loaded, [x, motion])
+        assert np.array_equal(a_labels, b_labels)
+        assert a_probs.tobytes() == b_probs.tobytes()
+        assert loaded_stats["imu"].mean.tobytes() == stats["imu"].mean.tobytes()

@@ -330,7 +330,7 @@ class TestRunExperiment:
         cfg2 = tiny_config(tiny_dataset, out2, arms=("unimodal", "virtual_multimodal"))
         r1 = run_experiment(cfg1)
         r2 = run_experiment(cfg2)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
         for rel in ("report.json", "report.csv", "report.svg",
                     "gan/generator.ckpt", "gan/discriminator.ckpt"):
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel

@@ -1,9 +1,11 @@
-"""sha256 of every file `vimu run` writes, on three fixed configs.
+"""sha256 of every file `vimu run` writes, on three fixed configs, and of its datasets.
 
-Runs the CLI's `run` command on the tiny config (all three arms), on the
-tiny config with cohort pretraining and generator snapshots, and on
-`desk_config` at seed 0, then writes a JSON object mapping
-`<run>/<path inside out_dir>` to the file's sha256. Every path the runs see
+Synthesizes two datasets (tiny and desk), runs the CLI's `run` command on
+the tiny config (all three arms), on the tiny config with cohort
+pretraining and generator snapshots, and on `desk_config` at seed 0, then
+writes a JSON object mapping `<run>/<path inside out_dir>` and
+`<dataset>/<file>` (`manifest.json`, `synth_config.json` and every `.gst`
+trial) to the file's sha256. Every path the runs see
 is relative to the work directory, so the configs, and with them each
 report's `config_fingerprint`, do not depend on where it is. Comparing two
 such tables shows whether a change moved any output byte.
@@ -47,17 +49,23 @@ def configs() -> dict:
     }
 
 
+def _digest_tree(directory: Path, digests: dict):
+    for f in sorted(p for p in directory.rglob("*") if p.is_file()):
+        digests[f"{directory.name}/{f.relative_to(directory).as_posix()}"] = \
+            hashlib.sha256(f.read_bytes()).hexdigest()
+
+
 def run_digests() -> dict:
-    """Run every config from the current directory; returns {path: sha256}."""
+    """Build the datasets and run every config from the current directory; returns {path: sha256}."""
     digests = {}
     for name, cfg in configs().items():
-        out = Path(name)
         path = Path(f"{name}.json")
         path.write_text(json.dumps(replace(cfg, out_dir=name).to_dict()), encoding="utf-8")
         if main(["run", "--config", str(path)]) != 0:
             raise SystemExit(f"vimu run failed on {name}")
-        for f in sorted(p for p in out.rglob("*") if p.is_file()):
-            digests[f"{name}/{f.relative_to(out).as_posix()}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+        _digest_tree(Path(name), digests)
+    for dataset in ("tiny_data", "desk_data"):
+        _digest_tree(Path(dataset), digests)
     return digests
 
 
