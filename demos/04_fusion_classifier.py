@@ -34,7 +34,7 @@ model = build_multimodal(
     seed=0,
 )
 print(f"model has {model.params.total_parameters()} trainable parameters "
-      f"across streams {model.stream_names}")
+      f"across streams {list(model.stream_cfgs)}")
 
 cfg = ClfTrainConfig(batch_size=32, seed=0)
 _, history = train_classifier(model, [muscle, motion], labels, cfg)

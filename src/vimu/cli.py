@@ -167,64 +167,50 @@ def _cmd_generate_imu(args) -> int:
     return 0
 
 
-def _load_virtual(path) -> np.ndarray:
+def _load_virtual(path) -> np.ndarray | None:
+    if path is None:
+        return None
     with np.load(path, allow_pickle=False) as z:
         if "virtual_imu" not in z.files:
             raise DataError(f"{path} holds no virtual_imu array")
         return z["virtual_imu"]
 
 
+# train-clf's --stream layouts by the arm they train
+_STREAM_ARMS = {"semg": "unimodal", "semg+imu": "real_multimodal", "semg+virtual": "virtual_multimodal"}
+
+
 def _cmd_train_clf(args) -> int:
     table = pipeline.load_window_table(args.windows)
-    streams = {"semg": table.semg_hgr}
-    if args.stream == "semg+imu":
-        if table.imu is None:
-            raise DataError("table has no real motion windows")
-        streams["imu"] = table.imu
-    elif args.stream == "semg+virtual":
-        if args.virtual is None:
-            raise DataError("--virtual is required for the semg+virtual stream layout")
-        streams["imu"] = _load_virtual(args.virtual)
+    arm = _STREAM_ARMS[args.stream]
+    normalized, stats = pipeline.zscore_streams(
+        pipeline.arm_streams(arm, table, _load_virtual(args.virtual)))
     classes = int(table.labels.max()) + 1
-    stats = {name: sigproc.fit_stats(arr) for name, arr in streams.items()}
-    normalized = [sigproc.apply_norm(arr, stats[name], "zscore").astype(np.float32)
-                  for name, arr in streams.items()]
-    k = table.semg_hgr.shape[1]
     spec = pipeline.ClassifierSpec(conv_maps=args.conv_maps, lc_maps=args.lc_maps,
                                    dense_units=args.dense_units, fusion_hidden=args.fusion_hidden)
-    fusion_cfg = fusion.FusionConfig(classes=classes, hidden_units=spec.fusion_hidden)
-    if len(streams) == 1:
-        model = fusion.build_unimodal(spec.stream(k, table.semg_hgr.shape[2]), fusion_cfg, args.seed)
-    else:
-        model = fusion.build_multimodal(
-            spec.stream(k, table.semg_hgr.shape[2]),
-            spec.stream(k, streams["imu"].shape[2]),
-            fusion_cfg, args.seed,
-        )
+    model = spec.model(normalized, classes, args.seed)
     decay = tuple(d for d in fusion.ClfTrainConfig.decay_epochs if d < args.epochs)
     cfg = fusion.ClfTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
                                 decay_epochs=decay, seed=args.seed)
-    _, history = fusion.train_classifier(model, normalized, table.labels, cfg)
-    fusion.save_classifier_bundle(args.out, model, stats, args.seed,
-                                  extra={"train_accuracy": history["accuracy"][-1] if history["accuracy"] else None})
-    print(f"trained classifier ({len(streams)} stream(s), {classes} classes); bundle in {args.out}")
+    _, history = fusion.train_classifier(model, list(normalized.values()), table.labels, cfg)
+    fusion.save_classifier_bundle(args.out, model, stats, args.seed, extra={
+        "arm": arm, "train_accuracy": history["accuracy"][-1] if history["accuracy"] else None})
+    print(f"trained classifier ({len(normalized)} stream(s), {classes} classes); bundle in {args.out}")
     return 0
 
 
 def _cmd_evaluate(args) -> int:
-    model, stats, _meta = fusion.load_classifier_bundle(args.model)
+    model, stats, meta = fusion.load_classifier_bundle(args.model)
     table = pipeline.load_window_table(args.windows)
-    streams = {"semg": table.semg_hgr}
-    if "imu" in model.stream_cfgs:
-        if args.virtual is not None:
-            streams["imu"] = _load_virtual(args.virtual)
-        elif table.imu is not None:
-            streams["imu"] = table.imu
-        else:
-            raise DataError("model expects a motion stream but none was supplied")
-    normalized = [sigproc.apply_norm(streams[name], stats[name], "zscore").astype(np.float32)
-                  for name in model.stream_cfgs]
-    preds, probs = fusion.predict(model, normalized)
+    virtual = _load_virtual(args.virtual)
+    # A bundle that records no arm is scored on what its layout and --virtual name.
+    arm = meta.extra.get("arm") or ("unimodal" if len(model.stream_cfgs) == 1 else
+                                    "real_multimodal" if virtual is None else "virtual_multimodal")
+    streams = pipeline.arm_streams(arm, table, virtual)
+    if set(streams) != set(model.stream_cfgs):
+        raise DataError(f"bundle arm {arm!r} does not match its streams {sorted(model.stream_cfgs)}")
+    normalized, _ = pipeline.zscore_streams(streams, stats)
+    preds, probs = fusion.predict(model, list(normalized.values()))
     lines = ["window_id,true_label,predicted_label,max_prob"]
     for i in range(len(preds)):
         wid = f"s{table.subjects[i]}_g{table.labels[i]}_t{table.trials[i]}_o{table.origins[i]}"

@@ -97,10 +97,6 @@ class FusionModel:
         self.fusion_cfg = fusion_cfg
         self.params = params
 
-    @property
-    def stream_names(self) -> list:
-        return list(self.stream_cfgs)
-
     def forward(self, stream_inputs, mode: str = "train", rng=None,
                 update_stats: bool = True) -> Tensor:
         """Per-stream (n, k, C) window arrays -> class probabilities (n, G)."""
@@ -134,36 +130,40 @@ def _spawned_seeds(seed: int, n: int = 3):
     return [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
+def _init_model(stream_cfgs: dict, fusion_cfg: FusionConfig, seed: int) -> FusionModel:
+    """He init; muscle stream, motion stream and head take spawned seeds 1-3 in either layout."""
+    seeds = dict(zip(("semg", "imu", "fusion"), _spawned_seeds(seed)))
+    params = ParamSet()
+    for name, cfg in stream_cfgs.items():
+        init_stack_params(stream_layers(cfg), (1, cfg.window_frames, cfg.channels),
+                          seed=seeds[name], scheme="he", prefix=f"{name}.", into=params)
+    width = sum(cfg.dense_units for cfg in stream_cfgs.values())
+    init_stack_params(fusion_layers(fusion_cfg), (width,), seed=seeds["fusion"], scheme="he",
+                      prefix="fusion.", into=params)
+    return FusionModel(stream_cfgs, fusion_cfg, params)
+
+
 def build_multimodal(semg_cfg: StreamConfig, imu_cfg: StreamConfig,
                      fusion_cfg: FusionConfig, seed: int) -> FusionModel:
     """Two independent streams feeding the shared fusion head."""
     if semg_cfg.window_frames != imu_cfg.window_frames:
         raise ConfigError("both streams must share the window length")
-    s_semg, s_imu, s_fusion = _spawned_seeds(seed)
-    params = ParamSet()
-    init_stack_params(stream_layers(semg_cfg), (1, semg_cfg.window_frames, semg_cfg.channels),
-                      seed=s_semg, scheme="he", prefix="semg.", into=params)
-    init_stack_params(stream_layers(imu_cfg), (1, imu_cfg.window_frames, imu_cfg.channels),
-                      seed=s_imu, scheme="he", prefix="imu.", into=params)
-    width = semg_cfg.dense_units + imu_cfg.dense_units
-    init_stack_params(fusion_layers(fusion_cfg), (width,), seed=s_fusion, scheme="he",
-                      prefix="fusion.", into=params)
-    return FusionModel({"semg": semg_cfg, "imu": imu_cfg}, fusion_cfg, params)
+    return _init_model({"semg": semg_cfg, "imu": imu_cfg}, fusion_cfg, seed)
 
 
 def build_unimodal(semg_cfg: StreamConfig, fusion_cfg: FusionConfig, seed: int) -> FusionModel:
-    """Single-stream variant; the concatenation degenerates to the identity.
+    """Single-stream variant; the concatenation degenerates to the identity."""
+    return _init_model({"semg": semg_cfg}, fusion_cfg, seed)
 
-    Uses the same per-stream seed derivation as the multimodal builder, so
-    identical seeds give identical muscle-stream initial weights.
-    """
-    s_semg, _, s_fusion = _spawned_seeds(seed)
-    params = ParamSet()
-    init_stack_params(stream_layers(semg_cfg), (1, semg_cfg.window_frames, semg_cfg.channels),
-                      seed=s_semg, scheme="he", prefix="semg.", into=params)
-    init_stack_params(fusion_layers(fusion_cfg), (semg_cfg.dense_units,), seed=s_fusion,
-                      scheme="he", prefix="fusion.", into=params)
-    return FusionModel({"semg": semg_cfg}, fusion_cfg, params)
+
+def build_model(stream_cfgs: dict, fusion_cfg: FusionConfig, seed: int) -> FusionModel:
+    """Model for streams ``semg`` or ``semg`` + ``imu``, muscle first whatever the dict order."""
+    names = set(stream_cfgs)
+    if names == {"semg"}:
+        return build_unimodal(stream_cfgs["semg"], fusion_cfg, seed)
+    if names == {"semg", "imu"}:
+        return build_multimodal(stream_cfgs["semg"], stream_cfgs["imu"], fusion_cfg, seed)
+    raise DataError(f"unsupported stream layout {sorted(names)}")
 
 
 @dataclass
@@ -286,20 +286,10 @@ def save_classifier_bundle(directory, model: FusionModel, stream_stats: dict, se
 
 
 def load_classifier_bundle(directory):
-    """Rebuild a model, its input stats and its decoded sidecar from a saved bundle.
-
-    The layout is chosen by the set of stream names; a two-stream model is
-    built muscle first, the order the fusion head concatenates.
-    """
+    """Rebuild a model, its input stats and its decoded sidecar from a saved bundle."""
     directory = Path(directory)
     meta = read_json(directory / "classifier.json", ClassifierSidecar)
-    names = set(meta.streams)
-    if names == {"semg"}:
-        model = build_unimodal(meta.streams["semg"], meta.fusion, seed=0)
-    elif names == {"semg", "imu"}:
-        model = build_multimodal(meta.streams["semg"], meta.streams["imu"], meta.fusion, seed=0)
-    else:
-        raise DataError(f"unsupported stream layout {sorted(names)}")
+    model = build_model(meta.streams, meta.fusion, seed=0)
     model.params.load_state_dict(checkpoint.load_tensors(directory / "classifier.ckpt"))
     model.params.init_record = meta.init_record
     return model, meta.stream_stats, meta

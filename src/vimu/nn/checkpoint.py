@@ -31,7 +31,7 @@ def save_tensors(path, tensors: dict):
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         for name, arr in tensors.items():
-            a = np.ascontiguousarray(arr, dtype="<f4")
+            a = np.asarray(arr, dtype="<f4")  # keeps rank 0, which ascontiguousarray lifts to 1
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -23,10 +23,12 @@ from . import sigproc
 from .codec import DictCodec, write_json
 from .data import Dataset, DatabaseProfile, SplitPlan, make_split, resolve_profile
 from .errors import ConfigError, DataError, LeakageError
+# build_unimodal/build_multimodal go unused here; perfbench's tracer wraps them on this module.
 from .fusion import (
     ClfTrainConfig,
     FusionConfig,
     StreamConfig,
+    build_model,
     build_multimodal,
     build_unimodal,
     predict,
@@ -68,6 +70,11 @@ class ClassifierSpec(DictCodec):
     def stream(self, window_frames: int, channels: int) -> StreamConfig:
         return StreamConfig(window_frames, channels, self.conv_maps, self.lc_maps,
                             self.dense_units, self.dropout)
+
+    def model(self, streams: dict, classes: int, seed: int):
+        """A fresh model whose streams take the (n, k, C) shapes of the named window arrays."""
+        cfgs = {name: self.stream(arr.shape[1], arr.shape[2]) for name, arr in streams.items()}
+        return build_model(cfgs, FusionConfig(classes=classes, hidden_units=self.fusion_hidden), seed)
 
 
 @dataclass
@@ -267,6 +274,36 @@ def load_window_table(path) -> WindowTable:
             origins=z["origins"],
             meta=json.loads(str(z["meta_json"])),
         )
+
+
+# ---------------------------------------------------------------------------
+# arm inputs
+
+def arm_streams(arm: str, table: WindowTable, virtual=None) -> dict:
+    """Raw window arrays that feed ``arm``, by stream name, muscle first."""
+    if arm == "unimodal":
+        return {"semg": table.semg_hgr}
+    if arm == "virtual_multimodal":
+        if virtual is None:
+            raise DataError("the virtual_multimodal arm needs virtual motion windows (--virtual)")
+        if np.ndim(virtual) != 3 or virtual.shape[:2] != table.semg_hgr.shape[:2]:
+            raise DataError(f"virtual motion windows of shape {np.shape(virtual)} do not match the "
+                            f"table's {table.semg_hgr.shape[:2]} windows")
+        return {"semg": table.semg_hgr, "imu": virtual}
+    if arm == "real_multimodal":
+        if table.imu is None:
+            raise DataError("the real_multimodal arm needs motion windows, the table has none")
+        return {"semg": table.semg_hgr, "imu": table.imu}
+    raise DataError(f"unknown arm {arm!r}")
+
+
+def zscore_streams(streams: dict, stats: dict | None = None, fit_rows=slice(None)):
+    """(float32 z-scored arrays, stats); stats not given are fitted on each array's ``fit_rows``."""
+    if stats is None:
+        stats = {name: fit_stats(arr[fit_rows]) for name, arr in streams.items()}
+    normalized = {name: apply_norm(arr, stats[name], "zscore").astype(np.float32)
+                  for name, arr in streams.items()}
+    return normalized, stats
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +544,6 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
     table = extract_windows(dataset, profile, cfg.preproc)
     if table.imu is None and (need_real or need_virtual):
         raise DataError("motion windows missing for the requested arms")
-    k = table.semg_hgr.shape[1]
 
     # Generator training on its cohort, then virtual-window synthesis.
     bundle = None
@@ -529,29 +565,17 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
 
     per_subject = {}
     for arm in cfg.arms:
-        if arm == "unimodal":
-            stream_data = {"semg": table.semg_hgr}
-        elif arm == "virtual_multimodal":
-            stream_data = {"semg": table.semg_hgr, "imu": virtual}
-        else:
-            stream_data = {"semg": table.semg_hgr, "imu": table.imu}
-
         # Per-arm input normalization, fitted on the training cohort only.
-        stream_stats = {name: fit_stats(arr[train_mask]) for name, arr in stream_data.items()}
-        normalized = {
-            name: apply_norm(arr, stream_stats[name], "zscore").astype(np.float32)
-            for name, arr in stream_data.items()
-        }
-        names = list(normalized)
+        normalized, stream_stats = zscore_streams(arm_streams(arm, table, virtual), fit_rows=train_mask)
+        arrays = list(normalized.values())
 
         pretrained = None
         if cfg.classifier.pretrain:
             assert_no_leakage(plan, table.subjects[train_mask], table.trials[train_mask], "clf_train")
-            pretrained = _build_model(cfg, names, normalized, k, classes,
-                                      derive_seed(cfg.seed, arm, "pretrain"))
+            pretrained = cfg.network.model(normalized, classes, derive_seed(cfg.seed, arm, "pretrain"))
             pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"))
-            train_classifier(pretrained, [normalized[n][train_mask] for n in names],
-                             table.labels[train_mask], pool_cfg)
+            train_classifier(pretrained, [a[train_mask] for a in arrays], table.labels[train_mask],
+                             pool_cfg)
 
         arm_rows = {}
         for subject in plan.recognition_subjects:
@@ -563,11 +587,10 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             if pretrained is not None:
                 model = pretrained.clone()
             else:
-                model = _build_model(cfg, names, normalized, k, classes, seed)
+                model = cfg.network.model(normalized, classes, seed)
             subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject))
-            train_classifier(model, [normalized[n][s_train] for n in names],
-                             table.labels[s_train], subj_cfg)
-            preds, _ = predict(model, [normalized[n][s_test] for n in names])
+            train_classifier(model, [a[s_train] for a in arrays], table.labels[s_train], subj_cfg)
+            preds, _ = predict(model, [a[s_test] for a in arrays])
             arm_rows[str(subject)] = {
                 "window_accuracy": compute_accuracy(preds, table.labels[s_test]),
                 "trial_majority_accuracy": trial_majority_accuracy(
@@ -596,12 +619,3 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
     if write_outputs:
         emit_report(report, out_dir, cfg.report_formats)
     return report
-
-
-def _build_model(cfg: ExperimentConfig, names, normalized, k, classes, seed):
-    fusion_cfg = FusionConfig(classes=classes, hidden_units=cfg.network.fusion_hidden)
-    semg_stream = cfg.network.stream(k, normalized["semg"].shape[2])
-    if names == ["semg"]:
-        return build_unimodal(semg_stream, fusion_cfg, seed)
-    imu_stream = cfg.network.stream(k, normalized["imu"].shape[2])
-    return build_multimodal(semg_stream, imu_stream, fusion_cfg, seed)

@@ -140,6 +140,47 @@ class TestStagePipeline:
                      "--out", str(preds)]) == 0
         lines = preds.read_text().strip().split("\n")
         assert len(lines) == 1 + len(load_window_table(windows_file))
+        # A bundle that records no arm (written before train-clf recorded it)
+        # is scored on the table's motion windows, as before.
+        sidecar = model_dir / "classifier.json"
+        meta = json.loads(sidecar.read_text())
+        assert meta["extra"].pop("arm") == "real_multimodal"
+        sidecar.write_text(json.dumps(meta))
+        legacy = tmp_path / "legacy.csv"
+        assert main(["evaluate", "--model", str(model_dir), "--windows", str(windows_file),
+                     "--out", str(legacy)]) == 0
+        assert legacy.read_bytes() == preds.read_bytes()
+
+    def test_virtual_bundle_needs_virtual_to_evaluate(self, windows_file, tmp_path, capsys):
+        # A bundle trained on virtual motion is never scored on the table's
+        # real motion windows: without --virtual, evaluate exits 2.
+        table = load_window_table(windows_file)
+        virt = tmp_path / "virt.npz"
+        rng = np.random.default_rng(0)
+        np.savez(virt, virtual_imu=rng.uniform(-1, 1, table.imu.shape).astype(np.float32))
+        model_dir = tmp_path / "clf_virtual"
+        assert main([
+            "train-clf", "--windows", str(windows_file), "--out", str(model_dir),
+            "--stream", "semg+virtual", "--virtual", str(virt),
+            "--epochs", "1", "--batch-size", "16", "--conv-maps", "2", "--lc-maps", "2",
+            "--dense-units", "8", "--fusion-hidden", "8", "--seed", "0",
+        ]) == 0
+        assert json.loads((model_dir / "classifier.json").read_text())["extra"]["arm"] == "virtual_multimodal"
+        preds = tmp_path / "preds.csv"
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(model_dir), "--windows", str(windows_file),
+                     "--out", str(preds)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "--virtual" in err, err
+        assert not preds.exists()
+        short = tmp_path / "short.npz"
+        np.savez(short, virtual_imu=np.zeros((3, *table.imu.shape[1:]), np.float32))
+        assert main(["evaluate", "--model", str(model_dir), "--windows", str(windows_file),
+                     "--virtual", str(short), "--out", str(preds)]) == 2
+        assert "do not match" in capsys.readouterr().err
+        assert main(["evaluate", "--model", str(model_dir), "--windows", str(windows_file),
+                     "--virtual", str(virt), "--out", str(preds)]) == 0
+        assert len(preds.read_text().strip().split("\n")) == 1 + len(table)
 
 
 class TestRun:
@@ -277,6 +318,10 @@ BAD_INPUTS = {
     "classifier stream_stats lacks a stream": ("classifier.json",
                                                lambda meta: {**meta, "stream_stats": {}}, 2,
                                                "do not match streams ['semg']"),
+    "classifier streams name only emg": ("classifier.json",
+                                         lambda meta: {**meta, "streams": {"emg": meta["streams"]["semg"]},
+                                                       "stream_stats": {"emg": meta["stream_stats"]["semg"]}},
+                                         2, "unsupported stream layout"),
     "manifest lacks index": ("manifest.json", _without("index"), 2, "index"),
     "manifest index not a list": ("manifest.json", lambda meta: {**meta, "index": 5}, 2, "index"),
     "manifest entry with an extra key": ("manifest.json",

@@ -6,6 +6,7 @@ from vimu.fusion import (
     ClfTrainConfig,
     FusionConfig,
     StreamConfig,
+    build_model,
     build_multimodal,
     build_unimodal,
     load_classifier_bundle,
@@ -88,6 +89,35 @@ class TestBuilders:
         for name, p in uni.params.trainable():
             if name.startswith("semg."):
                 assert np.array_equal(p.data, multi.params[name].data), name
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789])
+    def test_build_model_matches_the_layout_builders(self, seed):
+        fusion_cfg = FusionConfig(classes=4, hidden_units=16)
+        semg_cfg, imu_cfg = slim_stream(), slim_stream(channels=3)
+        pairs = [
+            (build_model({"semg": semg_cfg}, fusion_cfg, seed), build_unimodal(semg_cfg, fusion_cfg, seed)),
+            (build_model({"semg": semg_cfg, "imu": imu_cfg}, fusion_cfg, seed),
+             build_multimodal(semg_cfg, imu_cfg, fusion_cfg, seed)),
+        ]
+        for built, reference in pairs:
+            a, b = built.params.state_dict(), reference.params.state_dict()
+            assert list(a) == list(b)
+            for name in a:
+                assert a[name].tobytes() == b[name].tobytes(), name
+            assert built.params.init_record == reference.params.init_record
+            assert built.stream_cfgs == reference.stream_cfgs
+
+    def test_build_model_puts_the_muscle_stream_first(self):
+        # A sorted-key classifier.json decodes its streams as imu, semg.
+        model = build_model({"imu": slim_stream(channels=3), "semg": slim_stream()},
+                            FusionConfig(classes=4, hidden_units=16), seed=3)
+        assert list(model.stream_cfgs) == ["semg", "imu"]
+        assert next(iter(model.params.state_dict())).startswith("semg.")
+
+    def test_build_model_rejects_other_layouts(self):
+        for streams in ({"emg": slim_stream()}, {"imu": slim_stream()}, {}):
+            with pytest.raises(DataError, match="unsupported stream layout"):
+                build_model(streams, FusionConfig(classes=4, hidden_units=16), seed=0)
 
     def test_mismatched_window_length_rejected(self):
         with pytest.raises(ConfigError):

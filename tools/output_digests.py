@@ -1,13 +1,16 @@
-"""sha256 of every file `vimu run` writes, on three fixed configs, and of its datasets.
+"""sha256 of every file `vimu run` and the staged classifier commands write, and of their datasets.
 
 Synthesizes two datasets (tiny and desk), runs the CLI's `run` command on
 the tiny config (all three arms), on the tiny config with cohort
-pretraining and generator snapshots, and on `desk_config` at seed 0, then
-writes a JSON object mapping `<run>/<path inside out_dir>` and
-`<dataset>/<file>` (`manifest.json`, `synth_config.json` and every `.gst`
-trial) to the file's sha256. Every path the runs see
-is relative to the work directory, so the configs, and with them each
-report's `config_fingerprint`, do not depend on where it is. Comparing two
+pretraining and generator snapshots, and on `desk_config` at seed 0. It
+also runs the staged classifier commands on the tiny set: `preprocess` with
+the tiny config's preprocessing flags, `train-clf --stream semg+imu` and
+`evaluate`. It then writes a JSON object mapping `<run>/<path inside
+out_dir>`, `staged/<file>` (the window table, the classifier bundle and the
+predictions CSV) and `<dataset>/<file>` (`manifest.json`,
+`synth_config.json` and every `.gst` trial) to the file's sha256. Every
+path the runs see is relative to the work directory, so the configs, and
+with them each report's `config_fingerprint`, do not depend on where it is. Comparing two
 such tables shows whether a change moved any output byte.
 
     PYTHONPATH=src python tools/output_digests.py --work digests_work --out digests.json
@@ -55,15 +58,40 @@ def _digest_tree(directory: Path, digests: dict):
             hashlib.sha256(f.read_bytes()).hexdigest()
 
 
+def staged_commands(tiny: ExperimentConfig) -> list:
+    """argv of `preprocess`, `train-clf --stream semg+imu` and `evaluate` on the tiny set."""
+    p, net, clf = tiny.preproc, tiny.network, tiny.classifier
+    windows = "staged/windows.npz"
+    return [
+        ["preprocess", "--dataset", tiny.dataset, "--out", windows,
+         "--window-ms", str(p.window_ms), "--step-ms", str(p.step_ms),
+         "--decimation", str(p.decimation), "--rms-ms", str(p.rms_ms),
+         "--mavg-ms", str(p.mavg_ms), "--butter-cutoff-hz", str(p.butter_cutoff_hz)],
+        ["train-clf", "--windows", windows, "--stream", "semg+imu", "--out", "staged/classifier",
+         "--epochs", str(clf.epochs), "--batch-size", str(clf.batch_size),
+         "--conv-maps", str(net.conv_maps), "--lc-maps", str(net.lc_maps),
+         "--dense-units", str(net.dense_units), "--fusion-hidden", str(net.fusion_hidden),
+         "--seed", str(tiny.seed)],
+        ["evaluate", "--model", "staged/classifier", "--windows", windows,
+         "--out", "staged/predictions.csv"],
+    ]
+
+
 def run_digests() -> dict:
     """Build the datasets and run every config from the current directory; returns {path: sha256}."""
     digests = {}
-    for name, cfg in configs().items():
+    runs = configs()
+    for name, cfg in runs.items():
         path = Path(f"{name}.json")
         path.write_text(json.dumps(replace(cfg, out_dir=name).to_dict()), encoding="utf-8")
         if main(["run", "--config", str(path)]) != 0:
             raise SystemExit(f"vimu run failed on {name}")
         _digest_tree(Path(name), digests)
+    Path("staged").mkdir()
+    for argv in staged_commands(runs["tiny"]):
+        if main(argv) != 0:
+            raise SystemExit(f"vimu {argv[0]} failed on the staged path")
+    _digest_tree(Path("staged"), digests)
     for dataset in ("tiny_data", "desk_data"):
         _digest_tree(Path(dataset), digests)
     return digests
