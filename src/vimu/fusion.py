@@ -9,6 +9,7 @@ variant is the same network with a single stream.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,8 +57,9 @@ class FusionConfig(DictCodec):
             raise ConfigError("fusion hidden width must be >= 1")
 
 
-def stream_layers(cfg: StreamConfig) -> list:
-    return [
+@functools.cache
+def stream_layers(cfg: StreamConfig) -> tuple:
+    return (
         LayerSpec("batchnorm", "bn_in"),
         LayerSpec("conv2d", "conv1", maps=cfg.conv_maps, kernel=(3, 3), stride=(1, 1), padding="same"),
         LayerSpec("batchnorm", "bn1"),
@@ -74,19 +76,20 @@ def stream_layers(cfg: StreamConfig) -> list:
         LayerSpec("flatten", "flatten"),
         LayerSpec("dense", "fc", units=cfg.dense_units),
         LayerSpec("dropout", "drop", rate=cfg.dropout),
-    ]
+    )
 
 
-def fusion_layers(cfg: FusionConfig) -> list:
+@functools.cache
+def fusion_layers(cfg: FusionConfig) -> tuple:
     # ReLU ahead of the hidden dense layer, batchnorm + ReLU after it.
-    return [
+    return (
         LayerSpec("relu", "pre_relu"),
         LayerSpec("dense", "fc", units=cfg.hidden_units),
         LayerSpec("batchnorm", "bn"),
         LayerSpec("relu", "post_relu"),
         LayerSpec("dense", "out", units=cfg.classes),
         LayerSpec("softmax", "softmax"),
-    ]
+    )
 
 
 class FusionModel:

@@ -12,6 +12,7 @@ purely adversarial.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +53,8 @@ class GeneratorConfig(DictCodec):
     tconv_maps: tuple[int, ...] = (32, 16, 1)
 
     def __post_init__(self):
+        # a tuple keeps the config hashable, so its layer list is built once
+        object.__setattr__(self, "tconv_maps", tuple(self.tconv_maps))
         if min(self.window_frames, self.semg_channels, self.imu_channels) < 1:
             raise ConfigError("generator geometry fields must be >= 1")
         if len(self.tconv_maps) != 3 or self.tconv_maps[-1] != 1 or min(self.tconv_maps) < 1:
@@ -62,7 +65,8 @@ class GeneratorConfig(DictCodec):
         return self.window_frames * self.imu_channels
 
 
-def generator_layers(cfg: GeneratorConfig) -> list:
+@functools.cache
+def generator_layers(cfg: GeneratorConfig) -> tuple:
     layers = []
     for i, maps in enumerate(cfg.tconv_maps, start=1):
         layers.append(
@@ -76,7 +80,7 @@ def generator_layers(cfg: GeneratorConfig) -> list:
     layers.append(LayerSpec("flatten", "flatten"))
     layers.append(LayerSpec("dense", "head", units=cfg.dense_units))
     layers.append(LayerSpec("tanh", "out"))
-    return layers
+    return tuple(layers)
 
 
 def build_generator(cfg: GeneratorConfig, seed: int) -> ParamSet:
@@ -122,27 +126,30 @@ class DiscriminatorConfig(DictCodec):
             raise ConfigError("semg_channels must be >= 0")
 
 
-def _critic_body(cfg: DiscriminatorConfig) -> list:
-    return [
+@functools.cache
+def _critic_body(cfg: DiscriminatorConfig) -> tuple:
+    return (
         LayerSpec("conv2d", "conv", maps=cfg.conv_maps, kernel=(3, 3), stride=(3, 3), padding=(0, 0)),
         LayerSpec("batchnorm", "bn"),
         LayerSpec("leaky_relu", "lrelu", slope=cfg.leaky_slope),
         LayerSpec("dropout", "drop", rate=cfg.dropout),
         LayerSpec("flatten", "flatten"),
-    ]
+    )
 
 
-def _critic_head(cfg: DiscriminatorConfig) -> list:
-    hidden = []
+@functools.cache
+def _critic_head(cfg: DiscriminatorConfig) -> tuple:
+    hidden = ()
     if cfg.semg_channels:
-        hidden = [
+        hidden = (
             LayerSpec("dense", "hidden", units=PAIR_HIDDEN_UNITS),
             LayerSpec("leaky_relu", "hidden_lrelu", slope=cfg.leaky_slope),
-        ]
-    return hidden + [LayerSpec("dense", "head", units=1), LayerSpec("sigmoid", "out")]
+        )
+    return hidden + (LayerSpec("dense", "head", units=1), LayerSpec("sigmoid", "out"))
 
 
-def discriminator_layers(cfg: DiscriminatorConfig) -> list:
+@functools.cache
+def discriminator_layers(cfg: DiscriminatorConfig) -> tuple:
     """Motion body, then head; a pair critic joins the muscle window in between."""
     return _critic_body(cfg) + _critic_head(cfg)
 

@@ -91,12 +91,19 @@ def _resolve_padding(spec: LayerSpec):
 
 
 class ParamSet:
-    """Named trainable tensors, batchnorm buffers, and init provenance."""
+    """Named trainable tensors, batchnorm buffers, and init provenance.
+
+    The trainable values also form one contiguous vector per dtype, in
+    parameter order, and each parameter's ``data`` is a view into it, so an
+    optimizer updates every parameter in one pass (see :meth:`flat`).
+    """
 
     def __init__(self, init_record=None):
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.init_record: dict = dict(init_record or {})
+        self._views = ()    # each parameter's data as the last layout left it
+        self._flat = []     # per dtype: (values, grads, [(tensor, grad view)])
 
     def add_param(self, name: str, value: np.ndarray):
         if name in self.params or name in self.buffers:
@@ -124,6 +131,46 @@ class ParamSet:
         for p in self.params.values():
             p.grad = None
 
+    def flat(self):
+        """[(values, grads)]: one pair of vectors per dtype, in parameter order.
+
+        ``values`` holds the parameters' data, which are views into it.
+        ``grads`` takes each parameter's ``.grad``, or zeros where it has
+        none, and the parameter's ``.grad`` becomes the view into ``grads``,
+        so the graph's array can be freed. A parameter added or rebound
+        since the last call is laid out again first.
+        """
+        params = tuple(self.params.values())
+        if len(params) != len(self._views) or any(p.data is not v for p, v in zip(params, self._views)):
+            self._lay_out()
+        for _, _, members in self._flat:
+            for p, g in members:
+                if p.grad is None:
+                    g.fill(0)
+                elif p.grad is not g:
+                    np.copyto(g, p.grad)
+                    p.grad = g
+        return [(values, grads) for values, grads, _ in self._flat]
+
+    def _lay_out(self):
+        groups = {}
+        for p in self.params.values():
+            groups.setdefault(p.data.dtype, []).append(p)
+        self._flat = []
+        for dtype, members in groups.items():
+            values = np.empty(sum(p.data.size for p in members), dtype=dtype)
+            grads = np.empty_like(values)
+            views, start = [], 0
+            for p in members:
+                stop = start + p.data.size
+                view = values[start:stop].reshape(p.data.shape)
+                view[...] = p.data
+                p.data = view
+                views.append((p, grads[start:stop].reshape(view.shape)))
+                start = stop
+            self._flat.append((values, grads, views))
+        self._views = tuple(p.data for p in self.params.values())
+
     def fill_missing_grads(self):
         # Parameters untouched by the loss graph get explicit zero gradients.
         for p in self.params.values():
@@ -145,7 +192,7 @@ class ParamSet:
             arr = np.asarray(state[name])
             if arr.shape != p.data.shape:
                 raise StatsMismatchError(f"shape mismatch for {name!r}: {arr.shape} vs {p.data.shape}")
-            p.data = arr.astype(p.data.dtype)
+            np.copyto(p.data, arr, casting="unsafe")
         for name in self.buffers:
             arr = np.asarray(state[name])
             if arr.shape != self.buffers[name].shape:
@@ -155,7 +202,8 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         dup = ParamSet(self.init_record)
         for name, p in self.params.items():
-            dup.params[name] = Tensor(p.data.copy(), requires_grad=True)
+            dup.params[name] = Tensor(p.data, requires_grad=True)
+        dup._lay_out()    # copies each value into dup's own vector
         for name, buf in self.buffers.items():
             dup.buffers[name] = buf.copy()
         return dup
@@ -167,6 +215,7 @@ class ParamSet:
         dup = ParamSet(self.init_record)
         for name, p in self.params.items():
             dup.params[name] = Tensor(p.data.astype(dtype), requires_grad=True)
+        dup._lay_out()
         for name, buf in self.buffers.items():
             dup.buffers[name] = buf.astype(dtype)
         return dup
@@ -285,6 +334,7 @@ def init_stack_params(
             params.add_buffer(key + ".mean", np.zeros(feats, dtype=dtype))
             params.add_buffer(key + ".var", np.ones(feats, dtype=dtype))
         shape = layer_output_shape(spec, shape)
+    params._lay_out()
     return params
 
 

@@ -10,7 +10,11 @@ from .layers import ParamSet
 
 @dataclass
 class AdamState:
-    """Adam with bias correction. beta1 defaults to the DCGAN convention."""
+    """Adam with bias correction. beta1 defaults to the DCGAN convention.
+
+    ``m`` and ``v`` hold the moments as one vector per dtype, aligned with
+    :meth:`ParamSet.flat`.
+    """
 
     learning_rate: float = 2e-4
     beta1: float = 0.5
@@ -26,20 +30,51 @@ def adam_step(state: AdamState, params: ParamSet):
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for name, p in params.trainable():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    for values, grads in params.flat():
+        moments = _moments(state, values)
+        # values -= lr * (m / c1) / (sqrt(v / c2) + eps), after the moment
+        # updates, op for op, through two scratch blocks
+        for x, g, m, v, a, b in _blocks(values, grads, *moments, scratch=2):
+            m *= state.beta1
+            np.multiply(g, 1.0 - state.beta1, out=a)
+            m += a
+            v *= state.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - state.beta2
+            v += a
+            np.divide(v, c2, out=a)
+            np.sqrt(a, out=a)
+            a += state.eps
+            np.divide(m, c1, out=b)
+            b *= state.learning_rate
+            b /= a
+            x -= b
+
+
+# The updates walk the flat vectors in blocks of this many values, so the
+# scratch stays in cache and a large network gets no full-size temporary.
+_BLOCK = 1 << 16
+
+
+def _blocks(*vectors, scratch):
+    """Aligned slices of ``vectors`` plus ``scratch`` work arrays of the same length."""
+    n = vectors[0].size
+    work = [np.empty(min(n, _BLOCK), dtype=vectors[0].dtype) for _ in range(scratch)]
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        yield *(vec[start:stop] for vec in vectors), *(w[: stop - start] for w in work)
+
+
+def _moments(state: AdamState, values):
+    key = values.dtype.str
+    m, v = state.m.get(key), state.v.get(key)
+    if m is None or m.size != values.size:
+        # Parameters added since the last step start from zero moments.
+        grown_m, grown_v = np.zeros_like(values), np.zeros_like(values)
+        if m is not None:
+            grown_m[: m.size], grown_v[: v.size] = m, v
+        m, v = state.m[key], state.v[key] = grown_m, grown_v
+    return m, v
 
 
 @dataclass
@@ -57,6 +92,8 @@ class SgdState:
 
 def sgd_step(state: SgdState, params: ParamSet, epoch: int):
     lr = state.learning_rate(epoch)
-    for _, p in params.trainable():
-        if p.grad is not None:
-            p.data -= lr * p.grad
+    # A parameter without a gradient gets a zero one: p - lr * 0 is p, bit for bit.
+    for values, grads in params.flat():
+        for x, g, a in _blocks(values, grads, scratch=1):
+            np.multiply(g, lr, out=a)
+            x -= a

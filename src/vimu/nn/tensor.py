@@ -2,15 +2,20 @@
 
 Deliberately small: only the operations needed by the window networks are
 implemented, each with an explicit backward closure. Gradients accumulate
-into ``Tensor.grad``; ``backward()`` walks the recorded graph in reverse
-topological order. Arrays keep whatever dtype they were given, so the same
+into ``Tensor.grad``; ``backward()`` runs the closures of every node it can
+reach, newest first. Arrays keep whatever dtype they were given, so the same
 code runs in float32 for training and float64 for gradient checking.
 """
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
+
 import numpy as np
 
 _grad_enabled = True
+_next_seq = itertools.count().__next__
+_by_seq = attrgetter("_seq")
 
 
 class no_grad:
@@ -29,13 +34,19 @@ class no_grad:
 
 
 class Tensor:
-    """A value in the computation graph plus its gradient slot."""
+    """A value in the computation graph plus its gradient slot.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    ``_seq`` numbers tensors in creation order. A node is always made after
+    its parents, so visiting nodes from the highest number down is a reverse
+    topological order.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
         self.grad = None
+        self._seq = _next_seq()
         if backward_fn is None:
             # Leaf: requires_grad is honored regardless of the no_grad context.
             self.requires_grad = bool(requires_grad)
@@ -61,23 +72,15 @@ class Tensor:
             raise ValueError("backward() requires a scalar value")
         if self._backward_fn is None and not self.requires_grad:
             raise ValueError("backward() on a node with no recorded forward graph")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
+        reached = {id(self): self}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                if parent.requires_grad and id(parent) not in seen:
-                    stack.append((parent, False))
+            for parent in stack.pop()._parents:
+                if parent.requires_grad and id(parent) not in reached:
+                    reached[id(parent)] = parent
+                    stack.append(parent)
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in sorted(reached.values(), key=_by_seq, reverse=True):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
 
@@ -86,11 +89,18 @@ class Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``; see "gradient ownership" below."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if t.grad is not None:
+        t.grad = np.add(t.grad, g, out=np.empty_like(t.grad))
+        return
+    d = t.data
+    if g.dtype == d.dtype and g.shape == d.shape and g.strides == d.strides:
+        t.grad = g
+    else:
+        t.grad = np.empty_like(d)
+        np.copyto(t.grad, g)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +110,37 @@ def _accum(t: Tensor, g: np.ndarray):
 # maps-first, batch-innermost (c, h, w, b) memory, and columns keep that
 # order, (c*kh*kw, oh*ow*b): a conv forward is W @ cols with the weight as
 # stored, and the product is the next activation. At stride 1 the window
-# copies of im2col and the strided adds of col2im move runs of ow*b values,
-# not ow. col2im is the adjoint of im2col, so a transposed conv is the same
-# three products as a conv with input and output swapped. Batchnorm reduces
-# each map over one contiguous row. Other memory orders give the same
-# values, more slowly: windows are read through ``x.strides``.
+# copies of im2col move runs of ow*b values, not ow. col2im is the adjoint
+# of im2col, so a transposed conv is the same three products as a conv with
+# input and output swapped. Batchnorm reduces each map over one contiguous
+# row. Other memory orders give the same values, more slowly: windows are
+# read through ``x.strides``.
+#
+# col2im scatters into phase-major planes (c, sh, sw, hp/sh, wp/sw, b):
+# padded pixel (i, j) lives in plane (i % sh, j % sw) at (i // sh, j // sw).
+# The columns it scatters are a product whose right operand (a conv's output
+# gradient, a transposed conv's input) has every image row padded with zero
+# columns to the planes' row length. Each kernel offset (p, q) then adds one
+# contiguous run per map into its plane, where a plain padded buffer takes
+# runs of ow*b values at stride 1 and of b values at stride sw > 1. The zero
+# columns add +-0 to pixels of the next row or past the plane's end, which
+# leaves a sum that started from +0 as it was (the weights are finite). One
+# strided copy per phase interleaves the planes into the image, and the bias
+# is added to the contiguous result. Each pixel still sums its offsets in
+# (p, q) order from +0, so the values are the bits of the direct scatter. A
+# 1x1 stride-1 window needs no scatter: col2im is 0 + cols.
+#
+# The generator's first transposed conv has one input map, so its column
+# product ``wm.T @ xm`` has K = 1: it is an outer product, and the
+# broadcast ``wm.T * xm`` gives the same bits without an sgemm call that
+# costs several times more at these shapes.
+#
+# Gradient ownership: the first contribution to a node's gradient is kept
+# as it is when its dtype, shape and strides match the node's value (a
+# transposed gradient would slow every elementwise op that reads it), and
+# copied once otherwise. Later contributions are out-of-place adds. No
+# gradient is ever written in place, so pass-through backward closures
+# (add, reshape, concat) may hand the same array to several nodes.
 
 def conv_output_size(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
@@ -129,16 +165,67 @@ def _im2col(x, kh, kw, sh, sw, ph, pw):
     return win.reshape(c * kh * kw, oh * ow * b)
 
 
-def _col2im(cols, shape, kh, kw, sh, sw, ph, pw):
-    """Adjoint of ``_im2col``: scatter-add the columns back onto a (b, c, h, w) image."""
+def _plane_width(w, sw, pw):
+    """Row length of col2im's phase planes for an image ``w`` wide."""
+    return -(-(w + 2 * pw) // sw)
+
+
+def _col2im(cols, shape, kh, kw, sh, sw, ph, pw, bias=None):
+    """Adjoint of ``_im2col``: scatter-add the columns back onto a (b, c, h, w) image.
+
+    ``cols`` is (c*kh*kw, oh*row*b): ``_im2col``'s layout with row = ow, or
+    with every window row padded by zero columns to the planes' row length
+    (``_plane_width``), the layout the scatter works in. ``bias`` (c,), if
+    given, is added to every pixel of its map.
+    """
     b, c, h, w = shape
     oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(w, kw, sw, pw)
-    cols = cols.reshape(c, kh, kw, oh, ow, b)
-    buf = np.zeros((c, h + 2 * ph, w + 2 * pw, b), dtype=cols.dtype)
+    if kh == kw == sh == sw == 1 and not (ph or pw):
+        img = cols.reshape(c, h, w, b) + cols.dtype.type(0)
+        if bias is not None:
+            img += bias[:, None, None, None]
+        return img.transpose(3, 0, 1, 2)
+    hq, wq = -(-(h + 2 * ph) // sh), _plane_width(w, sw, pw)
+    plane, run = hq * wq * b, oh * wq * b
+    if cols.size != c * kh * kw * run:
+        padded = np.zeros((c * kh * kw, oh, wq, b), dtype=cols.dtype)
+        padded[:, :, :ow] = cols.reshape(-1, oh, ow, b)
+        cols = padded
+    cols = cols.reshape(c, kh, kw, run)
+    # A run may reach (kw - 1) // sw pixels past its plane: only the zero
+    # columns of the last window row land there.
+    buf = np.zeros((c, sh, sw, plane + (kw - 1) // sw * b), dtype=cols.dtype)
     for p in range(kh):
         for q in range(kw):
-            buf[:, p : p + sh * oh : sh, q : q + sw * ow : sw] += cols[:, p, q]
-    return buf[:, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
+            start = ((p // sh) * wq + q // sw) * b
+            buf[:, p % sh, q % sw, start : start + run] += cols[:, p, q]
+    planes = buf[..., :plane].reshape(c, sh, sw, hq, wq, b)
+    if sh == sw == 1 and bias is None:
+        return planes[:, 0, 0, ph : ph + h, pw : pw + w].transpose(3, 0, 1, 2)
+    out = np.empty((c, h, w, b), dtype=cols.dtype if bias is None else np.result_type(cols, bias))
+    for r in range(sh):
+        for s in range(sw):
+            # first image row and column that fall in phase plane (r, s)
+            i0, j0 = (r - ph) % sh, (s - pw) % sw
+            dst = out[:, i0::sh, j0::sw]
+            i, j = (i0 + ph) // sh, (j0 + pw) // sw
+            np.copyto(dst, planes[:, r, s, i : i + dst.shape[1], j : j + dst.shape[2]])
+    if bias is not None:
+        # strided copies are cheap and strided adds are not: add on the whole image
+        out = out.reshape(c, -1)
+        out += bias[:, None]
+    return _images(out, b, h, w)
+
+
+def _rows_padded(x, row):
+    """(b, c, h, w) -> maps-first (c, h*row*b), each image row padded with zero columns to ``row``."""
+    b, c, h, w = x.shape
+    if row == w:
+        return _maps_first(x)
+    out = np.empty((c, h, row, b), dtype=x.dtype)
+    out[:, :, w:] = 0
+    out[:, :, :w] = x.transpose(1, 2, 3, 0)
+    return out.reshape(c, -1)
 
 
 def _maps_first(x):
@@ -180,13 +267,24 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
     oh, ow = conv_output_size(h, kh, sh, ph), conv_output_size(wd, kw, sw, pw)
     wm = w.data.reshape(co, -1)
     cols = _im2col(x.data, kh, kw, sh, sw, ph, pw)
-    y = _images(wm @ cols + b.data[:, None], bsz, oh, ow)
+    y = wm @ cols
+    y += b.data[:, None]
+    y = _images(y, bsz, oh, ow)
 
     def bwd(g):
         gm = _maps_first(g)
         if x.requires_grad:
-            _accum(x, _col2im(wm.T @ gm, x.data.shape, kh, kw, sh, sw, ph, pw))
-        _accum(w, (gm @ cols.T).reshape(w.data.shape))
+            gp = _rows_padded(g, _plane_width(wd, sw, pw))
+            _accum(x, _col2im(wm.T @ gp, x.data.shape, kh, kw, sh, sw, ph, pw))
+        # (cols @ gm.T).T gives the bits of gm @ cols.T in about half the time
+        # when both are C-contiguous. Other strides reach BLAS with other
+        # transpose flags or take numpy's own loop, and the bits then depend
+        # on the operand order.
+        if cols.flags.c_contiguous and gm.flags.c_contiguous:
+            dw = (cols @ gm.T).T
+        else:
+            dw = gm @ cols.T
+        _accum(w, dw.reshape(w.data.shape))
         _accum(b, gm.sum(axis=1))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
@@ -203,7 +301,9 @@ def tconv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding, output_padding) ->
     ow = tconv_output_size(wd, kw, sw, pw, output_padding[1])
     wm = w.data.reshape(ci, -1)
     xm = _maps_first(x.data)
-    y = _col2im(wm.T @ xm, (bsz, co, oh, ow), kh, kw, sh, sw, ph, pw) + b.data[None, :, None, None]
+    xp = _rows_padded(x.data, _plane_width(ow, sw, pw))
+    cols = wm.T * xp if ci == 1 else wm.T @ xp
+    y = _col2im(cols, (bsz, co, oh, ow), kh, kw, sh, sw, ph, pw, bias=b.data)
 
     def bwd(g):
         cols = _im2col(g, kh, kw, sh, sw, ph, pw)
@@ -223,7 +323,9 @@ def local2d(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
     oh, ow, co, _, kh, kw = w.data.shape
     wp = w.data.reshape(oh * ow, co, -1)
     cp = _im2col(x.data, kh, kw, sh, sw, 0, 0).reshape(-1, oh * ow, bsz).transpose(1, 0, 2)
-    y = _images(_by_position(wp, cp) + b.data.reshape(co, -1, 1), bsz, oh, ow)
+    y = _by_position(wp, cp)
+    y += b.data.reshape(co, -1, 1)
+    y = _images(y, bsz, oh, ow)
 
     def bwd(g):
         gp = _maps_first(g).reshape(co, oh * ow, bsz).transpose(1, 0, 2)
@@ -369,19 +471,26 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
     m = xm.shape[1]
     if m < 2:
         raise ValueError("batchnorm needs at least 2 values per feature")
-    mu = xm.mean(axis=1)
+    mu = xm.sum(axis=1) / m
     xc = xm - mu[:, None]
     var = np.vecdot(xc, xc) / m
     ivar = 1.0 / np.sqrt(var + eps)
     scale = gamma.data * ivar
-    y = _from_maps(xc * scale[:, None] + beta.data[:, None], x.data.shape)
+    y = xc * scale[:, None]
+    y += beta.data[:, None]
+    y = _from_maps(y, x.data.shape)
 
     def bwd(g):
         gm = _per_map(g)
         dbeta = gm.sum(axis=1)
         dgamma = np.vecdot(gm, xc) * ivar
         if x.requires_grad:
-            dx = scale[:, None] * (gm - (dbeta[:, None] + xc * (ivar * dgamma)[:, None]) / m)
+            # scale * (gm - (dbeta + xc * (ivar * dgamma)) / m), one temporary
+            dx = xc * (ivar * dgamma)[:, None]
+            dx += dbeta[:, None]
+            dx /= m
+            np.subtract(gm, dx, out=dx)
+            dx *= scale[:, None]
             _accum(x, _from_maps(dx, x.data.shape))
         _accum(gamma, dgamma)
         _accum(beta, dbeta)
@@ -391,8 +500,15 @@ def batchnorm_train(x: Tensor, gamma: Tensor, beta: Tensor, eps: float):
 
 def batchnorm_eval(x: Tensor, gamma: Tensor, beta: Tensor, run_mean, run_var, eps: float) -> Tensor:
     ivar = 1.0 / np.sqrt(run_var + eps)
-    xhat = (_per_map(x.data) - run_mean[:, None]) * ivar[:, None]
-    y = _from_maps(gamma.data[:, None] * xhat + beta.data[:, None], x.data.shape)
+    xhat = _per_map(x.data) - run_mean[:, None]
+    xhat *= ivar[:, None]
+    if _grad_enabled:
+        y = xhat * gamma.data[:, None]
+    else:  # no graph keeps xhat, so the output may take its memory
+        y = xhat
+        y *= gamma.data[:, None]
+    y += beta.data[:, None]
+    y = _from_maps(y, x.data.shape)
 
     def bwd(g):
         gm = _per_map(g)

@@ -112,9 +112,31 @@ def rectify(s: MultichannelSeries) -> MultichannelSeries:
     return s.with_data(np.abs(s.data))
 
 
+# np.cumsum(axis=0) walks each column at the row stride, which is cheap while
+# the array fits in cache and slow beyond it; a loop of whole-row adds pays a
+# fixed cost per row instead. timeit on a 2-vCPU Xeon VM, float64, cumsum
+# against the loop: 600 x 1,024 (4.7 MB) 9.5 against 2.1 ms; 600 x 128, the
+# desk's stacked frames (0.6 MB), 0.33 against 0.83 ms; 10,000 x 64 (4.9 MB)
+# 11.7 against 8.6 ms. Both make the same sequential adds, so the bits agree.
+_ROW_LOOP_MIN_BYTES = 2 << 20
+_ROW_LOOP_MIN_CHANNELS = 64
+
+
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """``np.cumsum(values, axis=0)``, the same bits, by whichever route is faster."""
+    if (values.ndim != 2 or values.shape[1] < _ROW_LOOP_MIN_CHANNELS
+            or values.nbytes < _ROW_LOOP_MIN_BYTES):
+        return np.cumsum(values, axis=0)
+    csum = np.empty_like(values)
+    csum[0] = values[0]
+    for i in range(1, values.shape[0]):
+        np.add(csum[i - 1], values[i], out=csum[i])
+    return csum
+
+
 def _trailing_window_sums(values: np.ndarray, width: int):
     """Causal trailing-window sums with a shortened prefix (no zero padding)."""
-    csum = np.cumsum(values, axis=0)
+    csum = _running_sums(values)
     sums = csum.copy()
     if width < values.shape[0]:
         sums[width:] = csum[width:] - csum[:-width]

@@ -354,3 +354,57 @@ def test_state_dict_round_trip():
     for name in state:
         got = clone.params[name].data if name in clone.params else clone.buffers[name]
         assert np.array_equal(got, state[name])
+
+
+# A pass-through backward (add, reshape, concat) hands the same gradient array,
+# or a view of it, to several nodes. When one of them then receives a second
+# contribution, the others' gradients must not change.
+
+def _weights(shape, seed):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+def test_second_contribution_through_add_leaves_the_sibling_alone():
+    a = Tensor(_weights((2, 3), 0), requires_grad=True)
+    b = Tensor(_weights((2, 3), 1), requires_grad=True)
+    up = _weights((2, 3), 2)
+    s = T.add(a, b)
+    T.sum_all(T.dropout_mask(T.add(s, a), up)).backward()
+    assert np.array_equal(s.grad, up)
+    assert np.array_equal(b.grad, up)
+    assert np.array_equal(a.grad, up + up)
+
+
+def test_second_contribution_through_reshape_leaves_the_sibling_alone():
+    a = Tensor(_weights((2, 3), 3), requires_grad=True)
+    up = _weights((2, 3), 4)
+    flat = T.reshape(a, (6,))
+    back = T.reshape(flat, (2, 3))
+    T.sum_all(T.dropout_mask(T.add(back, a), up)).backward()
+    assert np.array_equal(back.grad, up)
+    assert np.array_equal(flat.grad, up.reshape(6))
+    assert np.array_equal(a.grad, up + up)
+
+
+def test_second_contribution_through_concat_leaves_the_sibling_alone():
+    a = Tensor(_weights((2, 3), 5), requires_grad=True)
+    b = Tensor(_weights((2, 2), 6), requires_grad=True)
+    up = _weights((2, 5), 7)
+    up_a = _weights((2, 3), 8)
+    joined = T.concat([a, b], axis=1)
+    loss = T.add(T.sum_all(T.dropout_mask(joined, up)), T.sum_all(T.dropout_mask(a, up_a)))
+    loss.backward()
+    assert np.array_equal(joined.grad, up)
+    assert np.array_equal(b.grad, up[:, 3:])
+    assert np.array_equal(a.grad, up[:, :3] + up_a)
+
+
+def test_backward_visits_every_node_after_its_consumers():
+    # a diamond whose branches were built in the opposite order of their use
+    x = Tensor(_weights((4,), 9), requires_grad=True)
+    left = T.tanh_act(x)
+    right = T.relu(x)
+    top = T.add(T.reshape(right, (2, 2)), T.reshape(left, (2, 2)))
+    T.sum_all(top).backward()
+    want = (x.data > 0) + (1.0 - np.tanh(x.data) ** 2)
+    assert np.allclose(x.grad, want, rtol=0, atol=1e-15)

@@ -105,3 +105,134 @@ class TestAdam:
         adam_step(state, params)
         adam_step(state, params)
         assert state.step_count == 2
+
+
+# --- flat parameter vectors -------------------------------------------------
+
+# "f" alone is longer than one block of the optimizers' walk over the vector
+SHAPES = {"a": (3, 4), "b": (5,), "c": (2, 3, 2), "d": (1,), "f": (300, 250), "e": (4, 1, 2)}
+
+
+def mixed_params(seed=0, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    params = ParamSet()
+    for name, shape in SHAPES.items():
+        params.add_param(name, rng.standard_normal(shape).astype(dtype))
+    return params
+
+
+def reference_adam(values, grads_per_step, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
+    # the update written tensor by tensor
+    values = {k: v.copy() for k, v in values.items()}
+    m = {k: np.zeros_like(v) for k, v in values.items()}
+    s = {k: np.zeros_like(v) for k, v in values.items()}
+    for t, grads in enumerate(grads_per_step, start=1):
+        c1, c2 = 1.0 - beta1**t, 1.0 - beta2**t
+        for k, g in grads.items():
+            m[k] *= beta1
+            m[k] += (1.0 - beta1) * g
+            s[k] *= beta2
+            s[k] += (1.0 - beta2) * (g * g)
+            values[k] -= lr * (m[k] / c1) / (np.sqrt(s[k] / c2) + eps)
+    return values
+
+
+def random_grads(rng, steps, dtype=np.float32):
+    return [{k: rng.standard_normal(s).astype(dtype) for k, s in SHAPES.items()} for _ in range(steps)]
+
+
+def assert_bytes_equal(got: dict, want: dict):
+    assert list(got) == list(want)
+    for k in want:
+        assert got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes(), k
+
+
+class TestFlatVectors:
+    def test_twenty_adam_steps_match_the_per_tensor_update(self):
+        params = mixed_params()
+        start = {k: v.copy() for k, v in params.state_dict().items()}
+        grads = random_grads(np.random.default_rng(1), 20)
+        state = AdamState(learning_rate=2e-4)
+        for step in grads:
+            for k, g in step.items():
+                params[k].grad = g
+            adam_step(state, params)
+        assert_bytes_equal(params.state_dict(), reference_adam(start, grads))
+
+    def test_twenty_sgd_steps_match_the_per_tensor_update(self):
+        params = mixed_params()
+        want = {k: v.copy() for k, v in params.state_dict().items()}
+        rng = np.random.default_rng(2)
+        sched = SgdState(initial_lr=0.1, decay_epochs=(8, 14))
+        for epoch in range(20):
+            for k, s in SHAPES.items():
+                # some parameters get no gradient; they must not move
+                g = rng.standard_normal(s).astype(np.float32) if (epoch + len(k)) % 3 else None
+                params[k].grad = g
+                if g is not None:
+                    want[k] -= sched.learning_rate(epoch) * g
+            sgd_step(sched, params, epoch)
+        assert_bytes_equal(params.state_dict(), want)
+
+    def test_parameters_are_views_into_one_vector(self):
+        params = mixed_params()
+        [(values, grads)] = params.flat()
+        assert values.size == sum(int(np.prod(s)) for s in SHAPES.values())
+        for p in params.params.values():
+            assert np.shares_memory(p.data, values)
+        values += 1.0
+        assert np.array_equal(params["d"].data, mixed_params()["d"].data + np.float32(1.0))
+
+    @pytest.mark.parametrize("how", ["load_state_dict", "copy", "astype", "rebind"])
+    def test_updates_reach_the_parameters(self, how):
+        source = mixed_params(seed=3)
+        params = mixed_params(seed=4)
+        params.flat()
+        if how == "load_state_dict":
+            params.load_state_dict(source.state_dict())
+        elif how == "copy":
+            params = source.copy()
+        elif how == "astype":
+            params = source.astype(np.float64).astype(np.float32)
+        else:  # a caller that assigns new arrays to .data
+            for k, p in params.params.items():
+                p.data = source[k].data.copy()
+        # same names, order and bytes as the source, and independent of it
+        assert_bytes_equal(params.state_dict(), source.state_dict())
+        if how != "load_state_dict":
+            assert not any(np.shares_memory(params[k].data, source[k].data) for k in SHAPES)
+        start = {k: v.copy() for k, v in params.state_dict().items()}
+        grads = random_grads(np.random.default_rng(5), 3)
+        state = AdamState(learning_rate=1e-2)
+        for step in grads:
+            for k, g in step.items():
+                params[k].grad = g
+            adam_step(state, params)
+        assert_bytes_equal(params.state_dict(), reference_adam(start, grads, lr=1e-2))
+        assert_bytes_equal(source.state_dict(), mixed_params(seed=3).state_dict())
+
+    def test_a_parameter_added_after_a_step_starts_from_zero_moments(self):
+        params = mixed_params()
+        start = {k: v.copy() for k, v in params.state_dict().items()}
+        grads = random_grads(np.random.default_rng(6), 2)
+        state = AdamState(learning_rate=1e-2)
+        for k, g in grads[0].items():
+            params[k].grad = g
+        adam_step(state, params)
+        params.add_param("z", np.ones(3, dtype=np.float32))
+        for k, g in grads[1].items():
+            params[k].grad = g
+        gz = np.full(3, 0.5, dtype=np.float32)
+        params["z"].grad = gz
+        adam_step(state, params)
+        want = reference_adam(start, grads, lr=1e-2)
+        # "z" takes its first step with the bias correction of step 2
+        m = np.zeros(3, dtype=np.float32)
+        v = np.zeros(3, dtype=np.float32)
+        m *= 0.5
+        m += 0.5 * gz
+        v *= 0.999
+        v += (1.0 - 0.999) * (gz * gz)
+        want["z"] = np.ones(3, dtype=np.float32)
+        want["z"] -= 1e-2 * (m / (1.0 - 0.5**2)) / (np.sqrt(v / (1.0 - 0.999**2)) + 1e-8)
+        assert_bytes_equal(params.state_dict(), want)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -81,3 +82,23 @@ def test_decimation_keeps_ceil_n_over_f_frames(frames, factor, rate):
     out = sigproc.decimate(MultichannelSeries(np.zeros((frames, 2)), rate, "acc"), factor)
     assert out.frames == -(-frames // factor)
     assert out.sample_rate_hz == rate / factor
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(frames=st.integers(1, 60), channels=st.sampled_from([1, 3, 63, 64, 300]),
+       width=st.integers(1, 80), seed=st.integers(0, 2**32 - 1))
+def test_trailing_window_sums_equal_the_cumsum_reference(frames, channels, width, seed):
+    # large arrays take a row loop instead of np.cumsum(axis=0); by either
+    # route the bytes must be those of the cumsum reference, also when the
+    # window covers every frame
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((frames, channels)) * 10.0 ** rng.uniform(-3, 3, channels)
+    csum = np.cumsum(values, axis=0)
+    want = csum.copy()
+    if width < frames:
+        want[width:] = csum[width:] - csum[:-width]
+    for min_bytes in (0, sigproc._ROW_LOOP_MIN_BYTES):
+        with mock.patch.object(sigproc, "_ROW_LOOP_MIN_BYTES", min_bytes):
+            sums, counts = sigproc._trailing_window_sums(values, width)
+        assert sums.dtype == want.dtype and sums.tobytes() == want.tobytes()
+        assert np.array_equal(counts[:, 0], np.minimum(np.arange(1, frames + 1), width))
