@@ -337,12 +337,15 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
             backprop(d_loss, disc)
             adam_step(adam_d, disc)
 
-            # Generator step through a fresh discriminator pass.
-            d_on_fake = discriminator_forward(disc_cfg, disc, fake, mode="train",
-                                              rng=dropout_rng, update_stats=False,
-                                              semg_windows=cond)
-            g_loss = generator_adversarial_loss(d_on_fake, cfg.loss_variant)
-            backprop(g_loss, gen)
+            # Generator step through a fresh discriminator pass. The frozen
+            # critic passes gradients on to the generator without computing
+            # its own, which this step would not use.
+            with disc.frozen():
+                d_on_fake = discriminator_forward(disc_cfg, disc, fake, mode="train",
+                                                  rng=dropout_rng, update_stats=False,
+                                                  semg_windows=cond)
+                g_loss = generator_adversarial_loss(d_on_fake, cfg.loss_variant)
+                backprop(g_loss, gen)
             adam_step(adam_g, gen)
 
             sums += (

@@ -7,6 +7,7 @@ them with :func:`vimu.nn.tensor.concat`.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,21 @@ class ParamSet:
     def zero_grads(self):
         for p in self.params.values():
             p.grad = None
+
+    @contextmanager
+    def frozen(self):
+        """Within the block the parameters require no gradient.
+
+        A backward pass through them still reaches their inputs but skips
+        the weight and bias products.
+        """
+        for p in self.params.values():
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p in self.params.values():
+                p.requires_grad = True
 
     def flat(self):
         """[(values, grads)]: one pair of vectors per dtype, in parameter order.

@@ -253,8 +253,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         _accum(x, g @ w.data.T)
-        _accum(w, x.data.T @ g)
-        _accum(b, g.sum(axis=0))
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
@@ -276,16 +278,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding) -> Tensor:
         if x.requires_grad:
             gp = _rows_padded(g, _plane_width(wd, sw, pw))
             _accum(x, _col2im(wm.T @ gp, x.data.shape, kh, kw, sh, sw, ph, pw))
-        # (cols @ gm.T).T gives the bits of gm @ cols.T in about half the time
-        # when both are C-contiguous. Other strides reach BLAS with other
-        # transpose flags or take numpy's own loop, and the bits then depend
-        # on the operand order.
-        if cols.flags.c_contiguous and gm.flags.c_contiguous:
-            dw = (cols @ gm.T).T
-        else:
-            dw = gm @ cols.T
-        _accum(w, dw.reshape(w.data.shape))
-        _accum(b, gm.sum(axis=1))
+        if w.requires_grad:
+            # (cols @ gm.T).T gives the bits of gm @ cols.T in about half the
+            # time when both are C-contiguous. Other strides reach BLAS with
+            # other transpose flags or take numpy's own loop, and the bits
+            # then depend on the operand order.
+            if cols.flags.c_contiguous and gm.flags.c_contiguous:
+                dw = (cols @ gm.T).T
+            else:
+                dw = gm @ cols.T
+            _accum(w, dw.reshape(w.data.shape))
+        if b.requires_grad:
+            _accum(b, gm.sum(axis=1))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
@@ -309,8 +313,10 @@ def tconv2d(x: Tensor, w: Tensor, b: Tensor, stride, padding, output_padding) ->
         cols = _im2col(g, kh, kw, sh, sw, ph, pw)
         if x.requires_grad:
             _accum(x, _images(wm @ cols, bsz, h, wd))
-        _accum(w, (xm @ cols.T).reshape(w.data.shape))
-        _accum(b, g.sum(axis=(0, 2, 3)))
+        if w.requires_grad:
+            _accum(w, (xm @ cols.T).reshape(w.data.shape))
+        if b.requires_grad:
+            _accum(b, g.sum(axis=(0, 2, 3)))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 
@@ -332,8 +338,10 @@ def local2d(x: Tensor, w: Tensor, b: Tensor, stride) -> Tensor:
         if x.requires_grad:
             dcols = _by_position(wp.transpose(0, 2, 1), gp)
             _accum(x, _col2im(dcols, x.data.shape, kh, kw, sh, sw, 0, 0))
-        _accum(w, (gp @ cp.transpose(0, 2, 1)).reshape(w.data.shape))
-        _accum(b, g.sum(axis=0))
+        if w.requires_grad:
+            _accum(w, (gp @ cp.transpose(0, 2, 1)).reshape(w.data.shape))
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
 
     return Tensor(y, parents=(x, w, b), backward_fn=bwd)
 

@@ -173,21 +173,29 @@ def _geometry(record) -> tuple:
             None if imu is None else (imu.channel_count, imu.modality))
 
 
-def _chain_side_by_side(series, chain, spec: PreprocSpec):
-    """Run ``chain`` once over equal-geometry series placed side by side.
+def _side_by_side(series) -> sigproc.MultichannelSeries:
+    """Equal-geometry series joined along the channel axis, record by record."""
+    return series[0].with_data(np.concatenate([s.data for s in series], axis=1))
 
-    Returns (windows, origins): windows is (len(series) * n, k, c), record
-    by record, and origins the n window start frames every record shares.
-    Every chain stage works column by column, so each record's windows equal
-    those of the chain run on that record alone, bit for bit.
+
+def _chain_side_by_side(joined, records: int, chain, spec: PreprocSpec):
+    """Run ``chain`` once over ``records`` equal-geometry series joined side by side.
+
+    Returns (windows, origins): windows is float32 (records * n, k, c),
+    record by record, and origins the n window start frames every record
+    shares. Every chain stage works column by column, so each record's
+    windows equal those of the chain run on that record alone, bit for bit.
+    Besides ``joined`` this holds at once one full-rate buffer of the chain's
+    own (the squares, the rectified signal or the running sums), then the
+    decimated output and its float64 and float32 windows.
     """
-    joined = series[0].with_data(np.concatenate([s.data for s in series], axis=1))
     windows = sigproc.segment_series(chain(joined, spec), spec)
     stacked = sigproc.stack_windows(windows)
-    n, k, _ = stacked.shape
-    c = series[0].channel_count
-    per_record = stacked.reshape(n, k, len(series), c).transpose(2, 0, 1, 3)
-    return per_record.reshape(len(series) * n, k, c), [w.origin_frame for w in windows]
+    n, k, columns = stacked.shape
+    c = columns // records
+    per_record = np.empty((records, n, k, c), dtype=np.float32)
+    per_record[...] = stacked.reshape(n, k, records, c).transpose(2, 0, 1, 3)
+    return per_record.reshape(records * n, k, c), [w.origin_frame for w in windows]
 
 
 def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpec,
@@ -195,8 +203,12 @@ def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpe
     """Trim, filter, decimate, and segment every requested trial.
 
     One subject's trials are loaded at a time, in (gesture, trial) order, and
-    split into runs of consecutive trials with the same geometry; each chain
-    then runs once per run instead of once per trial.
+    split into runs of consecutive trials with the same geometry. Each run's
+    muscle and motion trials are joined side by side once, the per-trial
+    records are dropped, and each chain then runs once per run instead of
+    once per trial. At full rate a subject's extraction therefore holds its
+    joined arrays plus one chain buffer at a time; the filters write only
+    the decimated frames.
     """
     from .data import trim_trial
 
@@ -213,32 +225,37 @@ def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpe
                 if profile.trim is not None:
                     record = trim_trial(record, profile.trim.rest_lead_s, profile.trim.action_s)
                 records.append(record)
-        for _, run in itertools.groupby(records, key=_geometry):
-            run = list(run)
-            semg = [r.semg for r in run]
-            semg_gan, starts = _chain_side_by_side(semg, sigproc.gan_chain_semg, spec)
-            semg_hgr, hgr_starts = _chain_side_by_side(semg, sigproc.hgr_chain_semg, spec)
+        runs = [(_side_by_side([r.semg for r in run]),
+                 None if run[0].imu is None else _side_by_side([r.imu for r in run]),
+                 [(r.gesture_id, r.trial_id) for r in run])
+                for run in (list(group) for _, group in itertools.groupby(records, key=_geometry))]
+        del records
+        while runs:
+            semg, imu, tags = runs.pop(0)
+            semg_gan, starts = _chain_side_by_side(semg, len(tags), sigproc.gan_chain_semg, spec)
+            semg_hgr, hgr_starts = _chain_side_by_side(semg, len(tags), sigproc.hgr_chain_semg, spec)
+            del semg
             if len(hgr_starts) != len(starts):
                 raise DataError("chain window counts diverged")
             gan_parts.append(semg_gan)
             hgr_parts.append(semg_hgr)
-            if run[0].imu is not None:
-                imu, imu_starts = _chain_side_by_side([r.imu for r in run], sigproc.imu_chain, spec)
+            if imu is not None:
+                imu_windows, imu_starts = _chain_side_by_side(imu, len(tags), sigproc.imu_chain, spec)
                 if len(imu_starts) != len(starts):
                     raise DataError("motion window count diverged from muscle windows")
-                imu_parts.append(imu)
+                imu_parts.append(imu_windows)
             count = len(starts)
-            for record in run:
-                labels.extend([record.gesture_id] * count)
+            for gesture_id, trial_id in tags:
+                labels.extend([gesture_id] * count)
                 subj_tags.extend([subject] * count)
-                trial_tags.extend([record.trial_id] * count)
+                trial_tags.extend([trial_id] * count)
                 origins.extend(starts)
     if not labels:
         raise DataError("no windows extracted")
     return WindowTable(
-        semg_gan=np.concatenate(gan_parts, axis=0).astype(np.float32),
-        semg_hgr=np.concatenate(hgr_parts, axis=0).astype(np.float32),
-        imu=np.concatenate(imu_parts, axis=0).astype(np.float32) if imu_parts else None,
+        semg_gan=np.concatenate(gan_parts, axis=0),
+        semg_hgr=np.concatenate(hgr_parts, axis=0),
+        imu=np.concatenate(imu_parts, axis=0) if imu_parts else None,
         labels=np.asarray(labels, dtype=np.int32),
         subjects=np.asarray(subj_tags, dtype=np.int32),
         trials=np.asarray(trial_tags, dtype=np.int32),

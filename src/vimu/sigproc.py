@@ -8,9 +8,12 @@ The two preparation chains used downstream:
 * recognition chain (``hgr_chain_semg``): rectification, first-order low-pass
   Butterworth, then decimation. This is the classifier's raw-signal input.
 
-All filters run causally at the full rate and decimation is plain sample
-selection afterwards; windows in milliseconds convert to samples by floor.
-Every operation is a pure function of its inputs.
+All filters run causally at the full rate, and decimation is plain sample
+selection: frames 0, d, 2d, ... of the filter output. The chains pass the
+factor to the filter, which computes its running sums or recurrence over
+every frame but writes only those frames, the bits ``decimate`` would keep.
+Windows in milliseconds convert to samples by floor. Every operation is a
+pure function of its inputs.
 
 Every chain stage works column by column: rectification, the trailing-window
 sums, the Butterworth recurrence, decimation and ``segment`` never mix
@@ -122,84 +125,114 @@ _ROW_LOOP_MIN_BYTES = 2 << 20
 _ROW_LOOP_MIN_CHANNELS = 64
 
 
-def _running_sums(values: np.ndarray) -> np.ndarray:
-    """``np.cumsum(values, axis=0)``, the same bits, by whichever route is faster."""
+def _running_sums(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.cumsum(values, axis=0, out=out)``, the same bits, by whichever route is faster.
+
+    ``out`` may be ``values`` itself: both routes then sum in place.
+    """
     if (values.ndim != 2 or values.shape[1] < _ROW_LOOP_MIN_CHANNELS
             or values.nbytes < _ROW_LOOP_MIN_BYTES):
-        return np.cumsum(values, axis=0)
-    csum = np.empty_like(values)
+        return np.cumsum(values, axis=0, out=out)
+    csum = np.empty_like(values) if out is None else out
     csum[0] = values[0]
     for i in range(1, values.shape[0]):
         np.add(csum[i - 1], values[i], out=csum[i])
     return csum
 
 
-def _trailing_window_sums(values: np.ndarray, width: int):
-    """Causal trailing-window sums with a shortened prefix (no zero padding)."""
-    csum = _running_sums(values)
-    sums = csum.copy()
-    if width < values.shape[0]:
-        sums[width:] = csum[width:] - csum[:-width]
-    counts = np.minimum(np.arange(1, values.shape[0] + 1), width)
+def _trailing_window_sums(values: np.ndarray, width: int, decimation: int = 1, in_place: bool = False):
+    """Causal trailing-window sums with a shortened prefix (no zero padding).
+
+    Returns the sums and window lengths at rows 0, d, 2d, ... for decimation
+    d; the running sums still pass over every row. ``in_place`` overwrites
+    ``values`` with its running sums instead of allocating a second buffer.
+    """
+    frames = values.shape[0]
+    csum = _running_sums(values, out=values if in_place else None)
+    sums = csum[::decimation].copy()
+    first = -(-width // decimation)  # first kept row whose window lies wholly inside
+    if first < sums.shape[0]:
+        start = first * decimation
+        np.subtract(csum[start::decimation], csum[start - width::decimation][: sums.shape[0] - first],
+                    out=sums[first:])
+    counts = np.minimum(np.arange(0, frames, decimation) + 1, width)
     return sums, counts[:, None]
 
 
-def moving_rms(s: MultichannelSeries, window_ms: float) -> MultichannelSeries:
+def _decimation_factor(s: MultichannelSeries, factor) -> int:
+    """``factor`` as an int, checked to be positive and to fit in ``s``."""
+    if int(factor) != factor or factor < 1:
+        raise ValueError(f"decimation factor must be a positive integer, got {factor}")
+    factor = int(factor)
+    if s.frames < factor:
+        raise ValueError(f"series of {s.frames} frames is shorter than factor {factor}")
+    return factor
+
+
+def moving_rms(s: MultichannelSeries, window_ms: float, decimation: int = 1) -> MultichannelSeries:
     """Moving RMS over a trailing window of ``window_ms`` milliseconds.
 
     Each output frame is the root mean square of the samples in the window
     ending at that frame; the window is shortened at the start of the series.
+    Only every ``decimation``-th frame is kept, as ``decimate`` would keep it.
     """
     width = window_samples(window_ms, s.sample_rate_hz)
     if width < 1:
         raise ValueError(f"window of {window_ms} ms is shorter than one sample")
-    sums, counts = _trailing_window_sums(s.data**2, width)
-    return s.with_data(np.sqrt(sums / counts))
+    decimation = _decimation_factor(s, decimation)
+    sums, counts = _trailing_window_sums(s.data**2, width, decimation, in_place=True)
+    return s.with_data(np.sqrt(sums / counts), sample_rate_hz=s.sample_rate_hz / decimation)
 
 
-def moving_average(s: MultichannelSeries, window_ms: float) -> MultichannelSeries:
-    """Moving arithmetic mean over a trailing window of ``window_ms``."""
+def moving_average(s: MultichannelSeries, window_ms: float, decimation: int = 1) -> MultichannelSeries:
+    """Moving arithmetic mean over a trailing window of ``window_ms``.
+
+    Only every ``decimation``-th frame is kept, as ``decimate`` would keep it.
+    """
     width = window_samples(window_ms, s.sample_rate_hz)
     if width < 1:
         raise ValueError(f"window of {window_ms} ms is shorter than one sample")
-    sums, counts = _trailing_window_sums(s.data, width)
-    return s.with_data(sums / counts)
+    decimation = _decimation_factor(s, decimation)
+    sums, counts = _trailing_window_sums(s.data, width, decimation)
+    return s.with_data(sums / counts, sample_rate_hz=s.sample_rate_hz / decimation)
 
 
-def butter_lowpass1(s: MultichannelSeries, cutoff_hz: float) -> MultichannelSeries:
+def butter_lowpass1(s: MultichannelSeries, cutoff_hz: float, decimation: int = 1) -> MultichannelSeries:
     """First-order low-pass Butterworth, single causal pass, zero initial state.
 
     Coefficients come from the bilinear transform of H(s) = wc / (s + wc):
     with K = tan(pi * fc / fs), b0 = b1 = K / (K + 1) and a1 = (K - 1) / (K + 1),
     so the difference equation is y[n] = b0 x[n] + b1 x[n-1] - a1 y[n-1].
+    The recurrence runs over every frame; only every ``decimation``-th
+    output frame is kept, as ``decimate`` would keep it.
     """
     if not 0 < cutoff_hz < s.sample_rate_hz / 2:
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie strictly below the Nyquist rate "
             f"{s.sample_rate_hz / 2} Hz"
         )
+    decimation = _decimation_factor(s, decimation)
     k = math.tan(math.pi * cutoff_hz / s.sample_rate_hz)
     b0 = b1 = k / (k + 1.0)
     a1 = (k - 1.0) / (k + 1.0)
     x = s.data
-    y = np.empty_like(x)
-    y[0] = b0 * x[0]
+    y = np.empty(((x.shape[0] - 1) // decimation + 1, x.shape[1]))
+    row = y[0] = b0 * x[0]
     for i in range(1, x.shape[0]):
-        y[i] = b0 * x[i] + b1 * x[i - 1] - a1 * y[i - 1]
-    return s.with_data(y)
+        row = b0 * x[i] + b1 * x[i - 1] - a1 * row
+        if not i % decimation:
+            y[i // decimation] = row
+    return s.with_data(y, sample_rate_hz=s.sample_rate_hz / decimation)
 
 
 def decimate(s: MultichannelSeries, factor: int) -> MultichannelSeries:
     """Keep every ``factor``-th frame; the rate divides accordingly.
 
     Pure sample selection: the smoothing stages ahead of it in both chains
-    are treated as the anti-aliasing step.
+    are treated as the anti-aliasing step. The three filters take the same
+    factor and keep the same frames without writing the others.
     """
-    if int(factor) != factor or factor < 1:
-        raise ValueError(f"decimation factor must be a positive integer, got {factor}")
-    factor = int(factor)
-    if s.frames < factor:
-        raise ValueError(f"series of {s.frames} frames is shorter than factor {factor}")
+    factor = _decimation_factor(s, factor)
     return s.with_data(s.data[::factor].copy(), sample_rate_hz=s.sample_rate_hz / factor)
 
 
@@ -304,8 +337,8 @@ class PreprocSpec(DictCodec):
 
 
 def gan_chain_semg(s: MultichannelSeries, spec: PreprocSpec) -> MultichannelSeries:
-    """Generation-chain sEMG: moving RMS envelope, then decimation."""
-    return decimate(moving_rms(s, spec.rms_ms), spec.decimation)
+    """Generation-chain sEMG: moving RMS envelope, decimated."""
+    return moving_rms(s, spec.rms_ms, spec.decimation)
 
 
 def hgr_chain_semg(s: MultichannelSeries, spec: PreprocSpec) -> MultichannelSeries:
@@ -314,12 +347,12 @@ def hgr_chain_semg(s: MultichannelSeries, spec: PreprocSpec) -> MultichannelSeri
     Kept separate from the generation chain on purpose; the two are not
     merged and a caller picks the one matching its role.
     """
-    return decimate(butter_lowpass1(rectify(s), spec.butter_cutoff_hz), spec.decimation)
+    return butter_lowpass1(rectify(s), spec.butter_cutoff_hz, spec.decimation)
 
 
 def imu_chain(s: MultichannelSeries, spec: PreprocSpec) -> MultichannelSeries:
-    """Motion-signal chain: moving average, then decimation."""
-    return decimate(moving_average(s, spec.mavg_ms), spec.decimation)
+    """Motion-signal chain: moving average, decimated."""
+    return moving_average(s, spec.mavg_ms, spec.decimation)
 
 
 def segment_series(s: MultichannelSeries, spec: PreprocSpec) -> list:

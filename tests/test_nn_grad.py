@@ -1,9 +1,11 @@
 """Finite-difference spot checks per layer kind (the acceptance module runs
 the full randomized sweep)."""
+import contextlib
+
 import numpy as np
 import pytest
 
-from vimu.nn import LayerSpec, Tensor, finite_difference_check, grad_check, init_stack_params
+from vimu.nn import LayerSpec, ParamSet, Tensor, finite_difference_check, grad_check, init_stack_params
 from vimu.nn.losses import bce_loss, cross_entropy_loss, generator_adversarial_loss
 from vimu.nn import tensor as T
 
@@ -133,3 +135,45 @@ def test_gradcheck_catches_wrong_gradients(monkeypatch):
     report = finite_difference_check(make_loss, {"x": x})
     monkeypatch.setattr(T, "tanh_act", original)
     assert not report.passed
+
+
+FROZEN_OPS = {
+    # op, then the x, w and b shapes
+    "dense": (T.dense, (4, 6), (6, 3), (3,)),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, (1, 2), (1, 1)), (2, 3, 5, 4), (4, 3, 3, 3), (4,)),
+    "tconv2d": (lambda x, w, b: T.tconv2d(x, w, b, (1, 2), (1, 1), (0, 1)), (2, 3, 4, 3), (3, 2, 3, 3), (2,)),
+    "local2d": (lambda x, w, b: T.local2d(x, w, b, (1, 1)), (2, 3, 4, 4), (3, 3, 2, 3, 2, 2), (2, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_OPS))
+def test_frozen_weights_get_no_gradient_and_leave_the_input_gradient_alone(name):
+    op, *shapes = FROZEN_OPS[name]
+    rng = np.random.default_rng(3)
+    x_data, w_data, b_data = (rng.standard_normal(s).astype(np.float32) for s in shapes)
+
+    def run(params, frozen):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        with params.frozen() if frozen else contextlib.nullcontext():
+            T.sum_all(T.tanh_act(op(x, params["w"], params["b"]))).backward()
+        return x.grad
+
+    live, frozen = ParamSet(), ParamSet()
+    for params in (live, frozen):
+        params.add_param("w", w_data.copy())
+        params.add_param("b", b_data.copy())
+    want = run(live, frozen=False)
+    got = run(frozen, frozen=True)
+    assert live["w"].grad is not None and live["b"].grad is not None
+    assert frozen["w"].grad is None and frozen["b"].grad is None
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert frozen["w"].requires_grad and frozen["b"].requires_grad
+
+
+def test_frozen_block_restores_requires_grad_after_an_error():
+    params = ParamSet()
+    params.add_param("w", np.ones((2, 2)))
+    with pytest.raises(RuntimeError), params.frozen():
+        assert not params["w"].requires_grad
+        raise RuntimeError("inside the block")
+    assert params["w"].requires_grad

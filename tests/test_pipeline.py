@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -278,6 +279,28 @@ class TestStackedExtraction:
         counts = [int(np.sum((table.subjects == 1) & (table.labels == g) & (table.trials == t)))
                   for g in range(3) for t in (1, 2)]
         assert counts[0] == counts[1] == counts[3] > counts[2] == counts[4] == counts[5]
+
+    def test_peak_memory_stays_under_three_full_rate_copies(self, tmp_path):
+        # One subject at the ingest benchmark's geometry, where arrays dominate:
+        # 53 gestures x trials 1-2, 600 trimmed frames of 16 muscle and 3 motion
+        # channels at 200 Hz. The loaded trials are one full-rate float64 copy
+        # and their side-by-side join a second; the chains may add one buffer
+        # of their own at a time, and the filters write only decimated frames.
+        cfg = SynthConfig(subjects=1, gestures=53, trials=2, semg_channels=16, imu_channels=3,
+                          trial_seconds=4.0, seed=1)
+        synth_generate(cfg, tmp_path / "ds")
+        ds = Dataset(tmp_path / "ds")
+        frames = int(cfg.action_s * cfg.sample_rate_hz)
+        full_rate = cfg.gestures * cfg.trials * frames * (cfg.semg_channels + cfg.imu_channels) * 8
+        tracemalloc.start()
+        try:
+            table = extract_windows(ds, synthetic_profile(ds.manifest), desk_config("").preproc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 150 decimated frames per trial hold 29 windows of 10 frames every 5
+        assert len(table) == cfg.gestures * cfg.trials * 29
+        assert peak < 3 * full_rate, f"peak {peak / full_rate:.2f} x the full-rate trial bytes"
 
 
 class TestConfig:

@@ -2,6 +2,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -102,3 +103,41 @@ def test_trailing_window_sums_equal_the_cumsum_reference(frames, channels, width
             sums, counts = sigproc._trailing_window_sums(values, width)
         assert sums.dtype == want.dtype and sums.tobytes() == want.tobytes()
         assert np.array_equal(counts[:, 0], np.minimum(np.arange(1, frames + 1), width))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(rate=st.sampled_from([50.0, 200.0, 2000.0, 2040.0]), decimation=st.integers(1, 6),
+       frames=st.integers(1, 120), channels=st.sampled_from([1, 3, 64, 70]),
+       width=st.integers(1, 160), ratio=st.floats(0.001, 0.45), row_loop=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_filters_that_decimate_equal_filter_then_decimate(rate, decimation, frames, channels, width,
+                                                          ratio, row_loop, seed):
+    # the filters keep only every d-th frame themselves; the frames kept, their
+    # bytes and the rate must be those of the full-rate filter then decimate,
+    # by either running-sum route and also when the window covers every frame
+    assume(frames >= decimation)
+    rng = np.random.default_rng(seed)
+    s = MultichannelSeries(3.0 * rng.standard_normal((frames, channels)), rate, "semg")
+    window_ms = 1000.0 * width / rate
+    filters = {
+        "moving_rms": lambda d: sigproc.moving_rms(s, window_ms, d),
+        "moving_average": lambda d: sigproc.moving_average(s, window_ms, d),
+        "butter_lowpass1": lambda d: sigproc.butter_lowpass1(s, ratio * rate, d),
+    }
+    before = s.data.tobytes()
+    with mock.patch.object(sigproc, "_ROW_LOOP_MIN_BYTES", 0 if row_loop else sigproc._ROW_LOOP_MIN_BYTES):
+        for name, run in filters.items():
+            fused, composed = run(decimation), sigproc.decimate(run(1), decimation)
+            assert fused.sample_rate_hz == composed.sample_rate_hz, name
+            assert fused.data.shape == composed.data.shape, name
+            assert fused.data.tobytes() == composed.data.tobytes(), name
+    assert s.data.tobytes() == before
+
+
+@pytest.mark.parametrize("frames", [1, 5])
+def test_filters_reject_a_series_shorter_than_the_decimation(frames):
+    s = MultichannelSeries(np.ones((frames, 2)), 200.0, "semg")
+    for run in (lambda: sigproc.moving_rms(s, 50.0, 6), lambda: sigproc.moving_average(s, 50.0, 6),
+                lambda: sigproc.butter_lowpass1(s, 10.0, 6), lambda: sigproc.decimate(s, 6)):
+        with pytest.raises(ValueError, match=f"series of {frames} frames is shorter than factor 6"):
+            run()
