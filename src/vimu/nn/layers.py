@@ -95,8 +95,8 @@ class ParamSet:
     """Named trainable tensors, batchnorm buffers, and init provenance.
 
     The trainable values also form one contiguous vector per dtype, in
-    parameter order, and each parameter's ``data`` is a view into it, so an
-    optimizer updates every parameter in one pass (see :meth:`flat`).
+    parameter order, and each parameter's ``data`` is a view into it, so Adam
+    updates every parameter in one pass (see :meth:`flat`).
     """
 
     def __init__(self, init_record=None):

@@ -51,7 +51,7 @@ def adam_step(state: AdamState, params: ParamSet):
             x -= b
 
 
-# The updates walk the flat vectors in blocks of this many values, so the
+# The updates walk their arrays in blocks of at most this many values, so the
 # scratch stays in cache and a large network gets no full-size temporary.
 _BLOCK = 1 << 16
 
@@ -92,8 +92,13 @@ class SgdState:
 
 def sgd_step(state: SgdState, params: ParamSet, epoch: int):
     lr = state.learning_rate(epoch)
-    # A parameter without a gradient gets a zero one: p - lr * 0 is p, bit for bit.
-    for values, grads in params.flat():
-        for x, g, a in _blocks(values, grads, scratch=1):
-            np.multiply(g, lr, out=a)
-            x -= a
+    # Each parameter moves by its own gradient, a block of rows at a time: the
+    # flat vector would first need a copy of every gradient. A parameter
+    # without a gradient stays as it is: p - lr * 0 is p, bit for bit.
+    for _, p in params.trainable():
+        x, g = p.data, p.grad
+        if g is None:
+            continue
+        rows = max(1, _BLOCK // max(1, x[:1].size))
+        for start in range(0, len(x), rows):
+            x[start : start + rows] -= np.multiply(g[start : start + rows], lr)

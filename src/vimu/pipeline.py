@@ -5,16 +5,22 @@ every usable trial through both signal chains, build the experiment split,
 train the adversarial generator on its cohort, synthesize virtual motion
 windows for the recognition subjects, then train and evaluate the requested
 arms (muscle-only, muscle + virtual motion, muscle + real motion) per
-subject. A leakage guard checks every training batch's (subject, trial)
-tags against the split plan.
+subject. The arms that need no generator train in a forked helper process
+while the generator trains. A leakage guard checks every training batch's
+(subject, trial) tags against the split plan.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import os
+import pickle
+import signal
+import traceback
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -543,8 +549,134 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
     return bundle, disc_params, history
 
 
+class _ArmHelper:
+    """A forked child process that trains ``arms`` in order through ``train_arm``.
+
+    The child pickles one (rows, error) message per arm through a pipe,
+    stops after the first error and ends with ``os._exit``. ``rows(arm)``
+    reads the next message and raises the error it carries; ``close()``
+    kills the child if it still runs and reaps it.
+    """
+
+    def __init__(self, arms, train_arm):
+        self.arms = tuple(arms)
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            os.close(read_fd)
+            _serve_arms(self.arms, train_arm, write_fd)
+        os.close(write_fd)
+        self._pipe = os.fdopen(read_fd, "rb")
+
+    def rows(self, arm: str) -> dict:
+        try:
+            rows, error = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"the arm helper process ended with {self._reap()} "
+                                    f"before reporting the {arm} arm") from None
+        if error is not None:
+            raise error
+        return rows
+
+    def close(self):
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+
+    def _reap(self) -> str:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        return f"exit status {code}" + (f" (killed by signal {-code})" if code < 0 else "")
+
+
+def _serve_arms(arms, train_arm, fd):
+    """The helper's body: one pickled (rows, error) per arm up to the first error; never returns."""
+    code = 1
+    try:
+        with os.fdopen(fd, "wb") as pipe:
+            for arm in arms:
+                rows = error = None
+                try:
+                    rows = train_arm(arm)
+                except Exception as exc:
+                    error = exc
+                    if hasattr(error, "add_note"):  # Python 3.11+: the traceback goes along
+                        error.add_note("raised in the arm helper process:\n"
+                                       + "".join(traceback.format_exception(error)))
+                pickle.dump((rows, error), pipe)
+                pipe.flush()
+                if error is not None:
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTable, classes: int,
+               classifiers_dir=None, virtual=None) -> dict:
+    """Train and evaluate one classifier per recognition subject on ``arm``; its per-subject rows.
+
+    With ``classifiers_dir`` set each subject's bundle is written under
+    ``classifiers_dir/arm``.
+    """
+    rec_mask = np.isin(table.subjects, plan.recognition_subjects)
+    train_mask = rec_mask & np.isin(table.trials, plan.clf_train_trials)
+    test_mask = rec_mask & np.isin(table.trials, plan.clf_test_trials)
+
+    # Per-arm input normalization, fitted on the training cohort only.
+    normalized, stream_stats = zscore_streams(arm_streams(arm, table, virtual), fit_rows=train_mask)
+    arrays = list(normalized.values())
+
+    pretrained = None
+    if cfg.classifier.pretrain:
+        assert_no_leakage(plan, table.subjects[train_mask], table.trials[train_mask], "clf_train")
+        pretrained = cfg.network.model(normalized, classes, derive_seed(cfg.seed, arm, "pretrain"))
+        pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"))
+        train_classifier(pretrained, [a[train_mask] for a in arrays], table.labels[train_mask],
+                         pool_cfg)
+
+    arm_rows = {}
+    for subject in plan.recognition_subjects:
+        s_train = train_mask & (table.subjects == subject)
+        s_test = test_mask & (table.subjects == subject)
+        assert_no_leakage(plan, table.subjects[s_train], table.trials[s_train], "clf_train")
+        assert_no_leakage(plan, table.subjects[s_test], table.trials[s_test], "clf_test")
+        seed = derive_seed(cfg.seed, arm, "subject", subject)
+        if pretrained is not None:
+            model = pretrained.clone()
+        else:
+            model = cfg.network.model(normalized, classes, seed)
+        subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject))
+        train_classifier(model, [a[s_train] for a in arrays], table.labels[s_train], subj_cfg)
+        preds, _ = predict(model, [a[s_test] for a in arrays])
+        arm_rows[str(subject)] = {
+            "window_accuracy": compute_accuracy(preds, table.labels[s_test]),
+            "trial_majority_accuracy": trial_majority_accuracy(
+                preds, table.labels[s_test], table.labels[s_test], table.trials[s_test]
+            ),
+        }
+        if classifiers_dir is not None:
+            save_classifier_bundle(
+                classifiers_dir / arm / f"subject_{subject:02d}",
+                model, stream_stats, seed,
+                extra={"arm": arm, "subject": subject},
+            )
+    return arm_rows
+
+
 def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> MetricsReport:
-    """Run the requested arms end to end and aggregate per-subject accuracy."""
+    """Run the requested arms end to end and aggregate per-subject accuracy.
+
+    Only the virtual arm needs the generator. When it is requested with
+    other arms, a forked helper process trains those while this process
+    trains the generator, synthesizes virtual motion and runs the virtual
+    arm (inline where ``os.fork`` does not exist). Every arm's work and
+    outputs are those of the serial run, and the arms' rows and errors are
+    taken in ``cfg.arms`` order, so a run raises the error the serial order
+    would have raised first.
+    """
     dataset = Dataset(cfg.dataset)
     profile = resolve_profile(cfg.profile, dataset.manifest)
     plan = make_split(dataset.manifest, cfg.experiment, profile)
@@ -562,65 +694,34 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
     if table.imu is None and (need_real or need_virtual):
         raise DataError("motion windows missing for the requested arms")
 
-    # Generator training on its cohort, then virtual-window synthesis.
-    bundle = None
-    virtual = None
-    if need_virtual:
-        gan_mask = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
-        gan_table = table.select(gan_mask)
-        assert_no_leakage(plan, gan_table.subjects, gan_table.trials, "gan")
-        gan_cfg = replace(cfg.gan, seed=derive_seed(cfg.seed, "gan"))
-        bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg,
-                                              out_dir / "gan" if write_outputs else None)
-        semg_for_generator = apply_norm(table.semg_gan, bundle.semg_stats, "zscore").astype(np.float32)
-        virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
-
-    rec_mask = np.isin(table.subjects, plan.recognition_subjects)
-    train_mask = rec_mask & np.isin(table.trials, plan.clf_train_trials)
-    test_mask = rec_mask & np.isin(table.trials, plan.clf_test_trials)
-    classes = dataset.manifest.gestures
-
+    train_arm = partial(_train_arm, cfg=cfg, plan=plan, table=table, classes=dataset.manifest.gestures,
+                        classifiers_dir=out_dir / "classifiers" if write_outputs else None)
+    helper = None
+    generator_free = [arm for arm in cfg.arms if arm != "virtual_multimodal"]
+    if need_virtual and generator_free and hasattr(os, "fork"):
+        helper = _ArmHelper(generator_free, train_arm)
     per_subject = {}
-    for arm in cfg.arms:
-        # Per-arm input normalization, fitted on the training cohort only.
-        normalized, stream_stats = zscore_streams(arm_streams(arm, table, virtual), fit_rows=train_mask)
-        arrays = list(normalized.values())
+    try:
+        # Generator training on its cohort, then virtual-window synthesis.
+        virtual = None
+        if need_virtual:
+            gan_mask = np.isin(table.subjects, plan.gan_subjects) & np.isin(table.trials, plan.gan_train_trials)
+            gan_table = table.select(gan_mask)
+            assert_no_leakage(plan, gan_table.subjects, gan_table.trials, "gan")
+            gan_cfg = replace(cfg.gan, seed=derive_seed(cfg.seed, "gan"))
+            bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg,
+                                                  out_dir / "gan" if write_outputs else None)
+            semg_for_generator = apply_norm(table.semg_gan, bundle.semg_stats, "zscore").astype(np.float32)
+            virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
 
-        pretrained = None
-        if cfg.classifier.pretrain:
-            assert_no_leakage(plan, table.subjects[train_mask], table.trials[train_mask], "clf_train")
-            pretrained = cfg.network.model(normalized, classes, derive_seed(cfg.seed, arm, "pretrain"))
-            pool_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "pretrain", "sgd"))
-            train_classifier(pretrained, [a[train_mask] for a in arrays], table.labels[train_mask],
-                             pool_cfg)
-
-        arm_rows = {}
-        for subject in plan.recognition_subjects:
-            s_train = train_mask & (table.subjects == subject)
-            s_test = test_mask & (table.subjects == subject)
-            assert_no_leakage(plan, table.subjects[s_train], table.trials[s_train], "clf_train")
-            assert_no_leakage(plan, table.subjects[s_test], table.trials[s_test], "clf_test")
-            seed = derive_seed(cfg.seed, arm, "subject", subject)
-            if pretrained is not None:
-                model = pretrained.clone()
+        for arm in cfg.arms:
+            if helper is not None and arm in helper.arms:
+                per_subject[arm] = helper.rows(arm)
             else:
-                model = cfg.network.model(normalized, classes, seed)
-            subj_cfg = replace(cfg.classifier, seed=derive_seed(cfg.seed, arm, "sgd", subject))
-            train_classifier(model, [a[s_train] for a in arrays], table.labels[s_train], subj_cfg)
-            preds, _ = predict(model, [a[s_test] for a in arrays])
-            arm_rows[str(subject)] = {
-                "window_accuracy": compute_accuracy(preds, table.labels[s_test]),
-                "trial_majority_accuracy": trial_majority_accuracy(
-                    preds, table.labels[s_test], table.labels[s_test], table.trials[s_test]
-                ),
-            }
-            if write_outputs:
-                save_classifier_bundle(
-                    out_dir / "classifiers" / arm / f"subject_{subject:02d}",
-                    model, stream_stats, seed,
-                    extra={"arm": arm, "subject": subject},
-                )
-        per_subject[arm] = arm_rows
+                per_subject[arm] = train_arm(arm, virtual=virtual)
+    finally:
+        if helper is not None:
+            helper.close()
 
     summary = _summarize(per_subject)
     report = MetricsReport(

@@ -1,12 +1,14 @@
 import json
 import os
 import shutil
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from test_pipeline import tiny_config
 
+from vimu import pipeline
 from vimu.cli import main
 from vimu.data import (
     Dataset,
@@ -17,6 +19,7 @@ from vimu.data import (
     synth_generate,
     write_trial,
 )
+from vimu.errors import DataError, DivergenceError
 from vimu.gan import load_discriminator
 from vimu.pipeline import (
     derive_seed,
@@ -222,6 +225,112 @@ class TestRun:
         assert main(["report", "--report", str(out / "report.json"), "--out", str(out2),
                      "--formats", "csv,svg"]) == 0
         assert (out2 / "report.csv").exists() and (out2 / "report.svg").exists()
+
+
+ALL_ARMS = "unimodal,virtual_multimodal,real_multimodal"
+
+
+def _fail_arms(monkeypatch, errors):
+    """Make train_classifier raise ``errors[arm]`` for the arms it names (seed 0 configs).
+
+    The patch is on the module, so a forked helper inherits it.
+    """
+    arm_of = {derive_seed(0, arm, "sgd", subject): arm
+              for arm in pipeline.ARMS for subject in range(10)}
+    train = pipeline.train_classifier
+
+    def failing(model, arrays, labels, cfg):
+        error = errors.get(arm_of[cfg.seed])
+        if error is not None:
+            raise error
+        return train(model, arrays, labels, cfg)
+
+    monkeypatch.setattr(pipeline, "train_classifier", failing)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestArmHelper:
+    """`vimu run` trains the arms that need no generator in a forked helper process."""
+
+    def run(self, dataset_dir, tmp_path, capsys, name, arms=ALL_ARMS):
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(json.dumps(run_config(dataset_dir, tmp_path / name, arms=arms)))
+        capsys.readouterr()
+        code = main(["run", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        _assert_no_child_left()
+        return code, err
+
+    def serial_and_forked(self, dataset_dir, tmp_path, capsys, monkeypatch, arms=ALL_ARMS):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            serial = self.run(dataset_dir, tmp_path, capsys, "serial", arms)
+        forked = self.run(dataset_dir, tmp_path, capsys, "forked", arms)
+        return serial, forked
+
+    @pytest.mark.parametrize("arms,forks", [
+        ("unimodal", 0), ("virtual_multimodal", 0), ("unimodal,real_multimodal", 0),
+        ("virtual_multimodal,real_multimodal", 1), (ALL_ARMS, 1),
+    ])
+    def test_forks_only_beside_a_generator(self, arms, forks, dataset_dir, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        code, err = self.run(dataset_dir, tmp_path, capsys, "out", arms)
+        assert (code, err) == (0, "")
+        assert len(calls) == forks
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert sorted(report["per_subject"]) == sorted(arms.split(","))
+
+    def test_helper_arm_divergence_exits_like_the_serial_run(self, dataset_dir, tmp_path, capsys,
+                                                               monkeypatch):
+        _fail_arms(monkeypatch, {"unimodal": DivergenceError("non-finite classifier loss at epoch 0")})
+        serial, forked = self.serial_and_forked(dataset_dir, tmp_path, capsys, monkeypatch)
+        assert serial == (3, "divergence: non-finite classifier loss at epoch 0\n")
+        assert forked == serial
+
+    def test_generator_error_wins_over_a_helper_error(self, dataset_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        _fail_arms(monkeypatch, {"unimodal": DataError("helper arm failed")})
+
+        def diverge(*args, **kwargs):
+            raise DivergenceError("non-finite generator loss")
+
+        monkeypatch.setattr(pipeline, "train_gan", diverge)
+        serial, forked = self.serial_and_forked(dataset_dir, tmp_path, capsys, monkeypatch)
+        assert serial == (3, "divergence: non-finite generator loss\n")
+        assert forked == serial
+
+    @pytest.mark.parametrize("arms,code,message", [
+        (ALL_ARMS, 2, "data error: unimodal failed\n"),
+        ("virtual_multimodal,unimodal", 3, "divergence: virtual failed\n"),
+    ])
+    def test_errors_surface_in_arm_order(self, arms, code, message, dataset_dir, tmp_path, capsys,
+                                         monkeypatch):
+        _fail_arms(monkeypatch, {"unimodal": DataError("unimodal failed"),
+                                 "virtual_multimodal": DivergenceError("virtual failed")})
+        serial, forked = self.serial_and_forked(dataset_dir, tmp_path, capsys, monkeypatch, arms)
+        assert serial == (code, message)
+        assert forked == serial
+
+    def test_a_helper_that_dies_names_its_exit_status(self, dataset_dir, tmp_path, capsys,
+                                                     monkeypatch):
+        parent = os.getpid()
+
+        def killed(*args, **kwargs):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(pipeline, "train_classifier", killed)
+        code, err = self.run(dataset_dir, tmp_path, capsys, "out", "unimodal,virtual_multimodal")
+        assert code == 2
+        assert err == ("data error: the arm helper process ended with exit status -9 "
+                       "(killed by signal 9) before reporting the unimodal arm\n")
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
@@ -47,6 +48,12 @@ def tiny_dataset(tmp_path_factory):
     cfg = SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11)
     synth_generate(cfg, root)
     return root
+
+
+def _classifier_files(out_dir):
+    """Every classifier.ckpt and classifier.json under out_dir/classifiers, relative to out_dir."""
+    return sorted(p.relative_to(out_dir).as_posix() for name in ("classifier.ckpt", "classifier.json")
+                  for p in out_dir.glob(f"classifiers/**/{name}"))
 
 
 def tiny_config(dataset_dir, out_dir, arms=("unimodal",), seed=0):
@@ -347,15 +354,21 @@ class TestRunExperiment:
         for row in report.per_subject["unimodal"].values():
             assert 0.0 <= row["window_accuracy"] <= 1.0
 
-    def test_deterministic_report_and_outputs(self, tiny_dataset, tmp_path):
+    def test_deterministic_report_and_outputs(self, tiny_dataset, tmp_path, monkeypatch):
+        # The first run trains its unimodal arm in a forked helper, the
+        # second, without os.fork, runs every arm in this process.
         out1, out2 = tmp_path / "a", tmp_path / "b"
         cfg1 = tiny_config(tiny_dataset, out1, arms=("unimodal", "virtual_multimodal"))
         cfg2 = tiny_config(tiny_dataset, out2, arms=("unimodal", "virtual_multimodal"))
         r1 = run_experiment(cfg1)
+        monkeypatch.delattr(os, "fork")
         r2 = run_experiment(cfg2)
         assert r1.to_dict() == r2.to_dict()
-        for rel in ("report.json", "report.csv", "report.svg",
-                    "gan/generator.ckpt", "gan/discriminator.ckpt"):
+        classifiers = _classifier_files(out1)
+        assert len(classifiers) == 2 * 2 * 2  # arms x subjects x files
+        assert _classifier_files(out2) == classifiers
+        for rel in ["report.json", "report.csv", "report.svg",
+                    "gan/generator.ckpt", "gan/discriminator.ckpt", *classifiers]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
         critic_cfg, _ = load_discriminator(out1 / "gan")
         assert critic_cfg.semg_channels == 8
