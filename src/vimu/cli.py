@@ -168,12 +168,7 @@ def _cmd_generate_imu(args) -> int:
 
 
 def _load_virtual(path) -> np.ndarray | None:
-    if path is None:
-        return None
-    with np.load(path, allow_pickle=False) as z:
-        if "virtual_imu" not in z.files:
-            raise DataError(f"{path} holds no virtual_imu array")
-        return z["virtual_imu"]
+    return None if path is None else pipeline.load_arrays(path, ("virtual_imu",))["virtual_imu"]
 
 
 # train-clf's --stream layouts by the arm they train

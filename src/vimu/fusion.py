@@ -18,7 +18,7 @@ import numpy as np
 from .codec import DictCodec, read_json, write_json
 from .errors import ConfigError, DataError, DivergenceError
 from .nn import checkpoint
-from .nn.layers import EVAL_BATCH, LayerSpec, ParamSet, backprop, init_stack_params, run_stack
+from .nn.layers import EVAL_BATCH, LayerSpec, ParamSet, backprop, init_stack_params, run_stack, seed_of
 from .nn.losses import cross_entropy_loss
 from .nn.optim import SgdState, sgd_step
 from .nn.tensor import Tensor, concat, no_grad
@@ -129,13 +129,9 @@ class FusionModel:
         return FusionModel(self.stream_cfgs, self.fusion_cfg, self.params.copy())
 
 
-def _spawned_seeds(seed: int, n: int = 3):
-    return [int(s.generate_state(1, dtype=np.uint64)[0]) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
 def _init_model(stream_cfgs: dict, fusion_cfg: FusionConfig, seed: int) -> FusionModel:
     """He init; muscle stream, motion stream and head take spawned seeds 1-3 in either layout."""
-    seeds = dict(zip(("semg", "imu", "fusion"), _spawned_seeds(seed)))
+    seeds = dict(zip(("semg", "imu", "fusion"), map(seed_of, np.random.SeedSequence(seed).spawn(3))))
     params = ParamSet()
     for name, cfg in stream_cfgs.items():
         init_stack_params(stream_layers(cfg), (1, cfg.window_frames, cfg.channels),

@@ -29,6 +29,7 @@ from .nn.layers import (
     backprop,
     init_stack_params,
     run_stack,
+    seed_of,
     stack_output_shape,
 )
 from .nn.losses import CLAMP_EPS, bce_loss, generator_adversarial_loss
@@ -166,7 +167,7 @@ def build_discriminator(cfg: DiscriminatorConfig, seed: int) -> ParamSet:
     body = _critic_body(cfg)
     params = init_stack_params(body, in_shape, seed=seed, scheme="normal002")
     width = stack_output_shape(body, in_shape)[0] + cfg.window_frames * cfg.semg_channels
-    init_stack_params(_critic_head(cfg), (width,), seed=_seed_of(np.random.SeedSequence(seed)),
+    init_stack_params(_critic_head(cfg), (width,), seed=seed_of(np.random.SeedSequence(seed)),
                       scheme="normal002", prefix="pair.", into=params)
     return params
 
@@ -264,10 +265,6 @@ class GanTrainConfig(DictCodec):
             raise ConfigError("snapshot_every must be >= 1 when set")
 
 
-def _seed_of(seq: np.random.SeedSequence) -> int:
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
-
-
 def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     """Alternating adversarial training on normalized window pairs.
 
@@ -294,8 +291,8 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
 
     root = np.random.SeedSequence(cfg.seed)
     s_gen, s_disc, s_shuffle, s_dropout = root.spawn(4)
-    gen = build_generator(gen_cfg, _seed_of(s_gen))
-    disc = build_discriminator(disc_cfg, _seed_of(s_disc))
+    gen = build_generator(gen_cfg, seed_of(s_gen))
+    disc = build_discriminator(disc_cfg, seed_of(s_disc))
     shuffle_rng = np.random.default_rng(s_shuffle)
     dropout_rng = np.random.default_rng(s_dropout)
 
@@ -375,15 +372,19 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     return gen, disc, history
 
 
-def _training_pair_correlation(gen_cfg, params, semg, imu, batch_size=EVAL_BATCH) -> float:
-    """Mean per-channel correlation of eval-mode outputs vs paired targets."""
+def _eval_outputs(cfg: GeneratorConfig, params: ParamSet, windows, batch_size: int = EVAL_BATCH):
+    """Eval-mode generator outputs, (n, k, c2), for (n, k, c1) windows, ``batch_size`` at a time."""
     outs = []
     with no_grad():
-        for start in range(0, semg.shape[0], batch_size):
-            out = generator_forward(gen_cfg, params, semg[start : start + batch_size][:, None],
-                                    mode="eval")
+        for start in range(0, windows.shape[0], batch_size):
+            out = generator_forward(cfg, params, windows[start : start + batch_size], mode="eval")
             outs.append(out.data[:, 0])
-    virt = np.concatenate(outs, axis=0)
+    return np.concatenate(outs, axis=0)
+
+
+def _training_pair_correlation(gen_cfg, params, semg, imu) -> float:
+    """Mean per-channel correlation of eval-mode outputs vs paired targets."""
+    virt = _eval_outputs(gen_cfg, params, semg)
     corrs = []
     for c in range(imu.shape[2]):
         a = virt[:, :, c].ravel().astype(np.float64)
@@ -458,13 +459,7 @@ def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EV
         )
     if bundle.imu_stats.channels != bundle.cfg.imu_channels:
         raise StatsMismatchError("stored motion stats do not match the generator geometry")
-    outputs = []
-    with no_grad():
-        for start in range(0, x.shape[0], batch_size):
-            chunk = x[start : start + batch_size]
-            out = generator_forward(bundle.cfg, bundle.params, chunk, mode="eval")
-            outputs.append(out.data[:, 0, :, :])
-    normalized = np.concatenate(outputs, axis=0)
+    normalized = _eval_outputs(bundle.cfg, bundle.params, x, batch_size)
     return invert_norm(normalized, bundle.imu_stats, "minmax_pm1")
 
 

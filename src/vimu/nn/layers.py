@@ -94,17 +94,14 @@ def _resolve_padding(spec: LayerSpec):
 class ParamSet:
     """Named trainable tensors, batchnorm buffers, and init provenance.
 
-    The trainable values also form one contiguous vector per dtype, in
-    parameter order, and each parameter's ``data`` is a view into it, so Adam
-    updates every parameter in one pass (see :meth:`flat`).
+    Each parameter's ``data`` is an array of its own, so a caller may update
+    it in place or bind a new array to it.
     """
 
     def __init__(self, init_record=None):
         self.params: dict[str, Tensor] = {}
         self.buffers: dict[str, np.ndarray] = {}
         self.init_record: dict = dict(init_record or {})
-        self._views = ()    # each parameter's data as the last layout left it
-        self._flat = []     # per dtype: (values, grads, [(tensor, grad view)])
 
     def add_param(self, name: str, value: np.ndarray):
         if name in self.params or name in self.buffers:
@@ -147,46 +144,6 @@ class ParamSet:
             for p in self.params.values():
                 p.requires_grad = True
 
-    def flat(self):
-        """[(values, grads)]: one pair of vectors per dtype, in parameter order.
-
-        ``values`` holds the parameters' data, which are views into it.
-        ``grads`` takes each parameter's ``.grad``, or zeros where it has
-        none, and the parameter's ``.grad`` becomes the view into ``grads``,
-        so the graph's array can be freed. A parameter added or rebound
-        since the last call is laid out again first.
-        """
-        params = tuple(self.params.values())
-        if len(params) != len(self._views) or any(p.data is not v for p, v in zip(params, self._views)):
-            self._lay_out()
-        for _, _, members in self._flat:
-            for p, g in members:
-                if p.grad is None:
-                    g.fill(0)
-                elif p.grad is not g:
-                    np.copyto(g, p.grad)
-                    p.grad = g
-        return [(values, grads) for values, grads, _ in self._flat]
-
-    def _lay_out(self):
-        groups = {}
-        for p in self.params.values():
-            groups.setdefault(p.data.dtype, []).append(p)
-        self._flat = []
-        for dtype, members in groups.items():
-            values = np.empty(sum(p.data.size for p in members), dtype=dtype)
-            grads = np.empty_like(values)
-            views, start = [], 0
-            for p in members:
-                stop = start + p.data.size
-                view = values[start:stop].reshape(p.data.shape)
-                view[...] = p.data
-                p.data = view
-                views.append((p, grads[start:stop].reshape(view.shape)))
-                start = stop
-            self._flat.append((values, grads, views))
-        self._views = tuple(p.data for p in self.params.values())
-
     def fill_missing_grads(self):
         # Parameters untouched by the loss graph get explicit zero gradients.
         for p in self.params.values():
@@ -218,8 +175,7 @@ class ParamSet:
     def copy(self) -> "ParamSet":
         dup = ParamSet(self.init_record)
         for name, p in self.params.items():
-            dup.params[name] = Tensor(p.data, requires_grad=True)
-        dup._lay_out()    # copies each value into dup's own vector
+            dup.params[name] = Tensor(p.data.copy(), requires_grad=True)
         for name, buf in self.buffers.items():
             dup.buffers[name] = buf.copy()
         return dup
@@ -231,7 +187,6 @@ class ParamSet:
         dup = ParamSet(self.init_record)
         for name, p in self.params.items():
             dup.params[name] = Tensor(p.data.astype(dtype), requires_grad=True)
-        dup._lay_out()
         for name, buf in self.buffers.items():
             dup.buffers[name] = buf.astype(dtype)
         return dup
@@ -296,6 +251,11 @@ def _weight_std(scheme: str, fan_in: int) -> float:
     raise ConfigError(f"unknown init scheme {scheme!r}")
 
 
+def seed_of(seq: np.random.SeedSequence) -> int:
+    """The integer seed ``seq`` stands for, as :func:`init_stack_params` takes it."""
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
 def init_stack_params(
     layers,
     in_shape: tuple,
@@ -350,7 +310,6 @@ def init_stack_params(
             params.add_buffer(key + ".mean", np.zeros(feats, dtype=dtype))
             params.add_buffer(key + ".var", np.ones(feats, dtype=dtype))
         shape = layer_output_shape(spec, shape)
-    params._lay_out()
     return params
 
 

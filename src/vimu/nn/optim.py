@@ -1,7 +1,7 @@
 """Adam and step-decayed SGD over :class:`ParamSet` gradients."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,8 +12,9 @@ from .layers import ParamSet
 class AdamState:
     """Adam with bias correction. beta1 defaults to the DCGAN convention.
 
-    ``m`` and ``v`` hold the moments as one vector per dtype, aligned with
-    :meth:`ParamSet.flat`.
+    ``m`` and ``v`` hold the moments as one vector each, over the parameters
+    in parameter order. The first step sizes them; a later step on a
+    parameter set of another size or dtype is a ``ValueError``.
     """
 
     learning_rate: float = 2e-4
@@ -21,60 +22,62 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(state: AdamState, params: ParamSet):
+    tensors = [p for _, p in params.trainable()]
+    dtypes = {p.data.dtype for p in tensors}
+    if len(dtypes) != 1:
+        raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+    # every gradient in parameter order; a parameter without one gets zeros
+    steps = np.concatenate([(p.grad if p.grad is not None else np.zeros_like(p.data)).ravel()
+                            for p in tensors], dtype=dtypes.pop())
+    if state.m is None:
+        state.m, state.v = np.zeros_like(steps), np.zeros_like(steps)
+    elif state.m.shape != steps.shape or state.m.dtype != steps.dtype:
+        raise ValueError(f"Adam's moments hold {state.m.size} {state.m.dtype} values, "
+                         f"the parameters {steps.size} {steps.dtype}")
     state.step_count += 1
     t = state.step_count
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for values, grads in params.flat():
-        moments = _moments(state, values)
-        # values -= lr * (m / c1) / (sqrt(v / c2) + eps), after the moment
-        # updates, op for op, through two scratch blocks
-        for x, g, m, v, a, b in _blocks(values, grads, *moments, scratch=2):
-            m *= state.beta1
-            np.multiply(g, 1.0 - state.beta1, out=a)
-            m += a
-            v *= state.beta2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - state.beta2
-            v += a
-            np.divide(v, c2, out=a)
-            np.sqrt(a, out=a)
-            a += state.eps
-            np.divide(m, c1, out=b)
-            b *= state.learning_rate
-            b /= a
-            x -= b
+    # step = lr * (m / c1) / (sqrt(v / c2) + eps), after the moment updates,
+    # op for op, written over each gradient once the moments have read it
+    for g, m, v, a in _blocks(steps, state.m, state.v):
+        m *= state.beta1
+        np.multiply(g, 1.0 - state.beta1, out=a)
+        m += a
+        v *= state.beta2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - state.beta2
+        v += a
+        np.divide(v, c2, out=a)
+        np.sqrt(a, out=a)
+        a += state.eps
+        np.divide(m, c1, out=g)
+        g *= state.learning_rate
+        g /= a
+    start = 0
+    for p in tensors:
+        stop = start + p.data.size
+        p.data -= steps[start:stop].reshape(p.data.shape)
+        start = stop
 
 
 # The updates walk their arrays in blocks of at most this many values, so the
-# scratch stays in cache and a large network gets no full-size temporary.
+# scratch stays in cache and SGD makes no full-size temporary.
 _BLOCK = 1 << 16
 
 
-def _blocks(*vectors, scratch):
-    """Aligned slices of ``vectors`` plus ``scratch`` work arrays of the same length."""
+def _blocks(*vectors):
+    """Aligned slices of ``vectors`` plus a work array of the same length."""
     n = vectors[0].size
-    work = [np.empty(min(n, _BLOCK), dtype=vectors[0].dtype) for _ in range(scratch)]
+    work = np.empty(min(n, _BLOCK), dtype=vectors[0].dtype)
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        yield *(vec[start:stop] for vec in vectors), *(w[: stop - start] for w in work)
-
-
-def _moments(state: AdamState, values):
-    key = values.dtype.str
-    m, v = state.m.get(key), state.v.get(key)
-    if m is None or m.size != values.size:
-        # Parameters added since the last step start from zero moments.
-        grown_m, grown_v = np.zeros_like(values), np.zeros_like(values)
-        if m is not None:
-            grown_m[: m.size], grown_v[: v.size] = m, v
-        m, v = state.m[key], state.v[key] = grown_m, grown_v
-    return m, v
+        yield *(vec[start:stop] for vec in vectors), work[: stop - start]
 
 
 @dataclass
@@ -92,9 +95,8 @@ class SgdState:
 
 def sgd_step(state: SgdState, params: ParamSet, epoch: int):
     lr = state.learning_rate(epoch)
-    # Each parameter moves by its own gradient, a block of rows at a time: the
-    # flat vector would first need a copy of every gradient. A parameter
-    # without a gradient stays as it is: p - lr * 0 is p, bit for bit.
+    # Each parameter moves by its own gradient, a block of rows at a time. A
+    # parameter without a gradient stays as it is: p - lr * 0 is p, bit for bit.
     for _, p in params.trainable():
         x, g = p.data, p.grad
         if g is None:

@@ -18,6 +18,7 @@ import os
 import pickle
 import signal
 import traceback
+import zipfile
 import zlib
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -28,7 +29,7 @@ import numpy as np
 from . import sigproc
 from .codec import DictCodec, write_json
 from .data import Dataset, DatabaseProfile, SplitPlan, make_split, resolve_profile
-from .errors import ConfigError, DataError, LeakageError
+from .errors import ConfigError, DataError, FormatError, LeakageError
 # build_unimodal/build_multimodal go unused here; perfbench's tracer wraps them on this module.
 from .fusion import (
     ClfTrainConfig,
@@ -51,6 +52,7 @@ from .gan import (
     save_generator_bundle,
     train_gan,
 )
+from .nn.layers import seed_of
 from .sigproc import PreprocSpec, apply_norm, fit_stats
 
 ARMS = ("unimodal", "virtual_multimodal", "real_multimodal")
@@ -59,8 +61,7 @@ ARMS = ("unimodal", "virtual_multimodal", "real_multimodal")
 def derive_seed(base: int, *parts) -> int:
     """Stable child seed from a base seed and a role path."""
     key = tuple(zlib.crc32(str(p).encode("utf-8")) for p in parts)
-    seq = np.random.SeedSequence(entropy=int(base), spawn_key=key)
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return seed_of(np.random.SeedSequence(entropy=int(base), spawn_key=key))
 
 
 @dataclass
@@ -144,6 +145,10 @@ def desk_config(dataset: str, out_dir: str = "out", seed: int = 0,
 # ---------------------------------------------------------------------------
 # window extraction
 
+# WindowTable's per-window arrays besides the optional motion windows, in file order
+_TABLE_ARRAYS = ("semg_gan", "semg_hgr", "labels", "subjects", "trials", "origins")
+
+
 @dataclass
 class WindowTable:
     """All windows of a dataset, both chains, with (subject, trial) tags."""
@@ -158,16 +163,8 @@ class WindowTable:
     meta: dict = field(default_factory=dict)
 
     def select(self, mask: np.ndarray) -> "WindowTable":
-        return WindowTable(
-            semg_gan=self.semg_gan[mask],
-            semg_hgr=self.semg_hgr[mask],
-            imu=self.imu[mask] if self.imu is not None else None,
-            labels=self.labels[mask],
-            subjects=self.subjects[mask],
-            trials=self.trials[mask],
-            origins=self.origins[mask],
-            meta=self.meta,
-        )
+        return WindowTable(imu=self.imu[mask] if self.imu is not None else None, meta=self.meta,
+                           **{name: getattr(self, name)[mask] for name in _TABLE_ARRAYS})
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
@@ -271,32 +268,39 @@ def extract_windows(dataset: Dataset, profile: DatabaseProfile, spec: PreprocSpe
 
 
 def save_window_table(path, table: WindowTable):
-    arrays = {
-        "semg_gan": table.semg_gan,
-        "semg_hgr": table.semg_hgr,
-        "labels": table.labels,
-        "subjects": table.subjects,
-        "trials": table.trials,
-        "origins": table.origins,
-        "meta_json": np.str_(json.dumps(table.meta, sort_keys=True)),
-    }
+    arrays = {name: getattr(table, name) for name in _TABLE_ARRAYS}
+    arrays["meta_json"] = np.str_(json.dumps(table.meta, sort_keys=True))
     if table.imu is not None:
         arrays["imu"] = table.imu
     np.savez(path, **arrays)
 
 
+def load_arrays(path, names, optional=()) -> dict:
+    """Named arrays of the ``.npz`` archive at ``path``; those in ``optional`` may be absent.
+
+    A file that is not a readable ``.npz`` archive, or lacks one of
+    ``names``, is a :class:`FormatError` naming the file.
+    """
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if isinstance(archive, np.lib.npyio.NpzFile):
+            with archive:
+                for name in names:
+                    if name not in archive.files:
+                        raise FormatError(f"{path} holds no {name} array")
+                return {name: archive[name] for name in (*names, *optional) if name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error):
+        pass
+    raise FormatError(f"{path} is not a readable .npz archive")
+
+
 def load_window_table(path) -> WindowTable:
-    with np.load(path, allow_pickle=False) as z:
-        return WindowTable(
-            semg_gan=z["semg_gan"],
-            semg_hgr=z["semg_hgr"],
-            imu=z["imu"] if "imu" in z.files else None,
-            labels=z["labels"],
-            subjects=z["subjects"],
-            trials=z["trials"],
-            origins=z["origins"],
-            meta=json.loads(str(z["meta_json"])),
-        )
+    arrays = load_arrays(path, (*_TABLE_ARRAYS, "meta_json"), optional=("imu",))
+    try:
+        meta = json.loads(str(arrays.pop("meta_json")))
+    except ValueError as exc:
+        raise FormatError(f"{path}: meta_json is not JSON ({exc})") from None
+    return WindowTable(imu=arrays.pop("imu", None), meta=meta, **arrays)
 
 
 # ---------------------------------------------------------------------------

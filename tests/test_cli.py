@@ -378,6 +378,27 @@ def _widen_last_trial(directory):
     write_trial(path, replace(record, semg=wider))
 
 
+def _virtual_file(directory):
+    """A file as `generate-imu` writes it."""
+    path = directory / "virtual.npz"
+    np.savez(path, virtual_imu=np.zeros((4, 10, 3), dtype=np.float32))
+    return str(path)
+
+
+def _bad_meta_file(directory, windows):
+    """The window table with its meta_json cut short."""
+    path = directory / "bad_meta.npz"
+    with np.load(windows) as table:
+        np.savez(path, **{**dict(table), "meta_json": np.str_("{")})
+    return str(path)
+
+
+def _text_file(directory):
+    path = directory / "windows.txt"
+    path.write_text("not an archive\n")
+    return str(path)
+
+
 # A report as `vimu run` writes it, for the rows that change one key.
 REPORT = {
     "vimu_report": 1, "per_subject": {"unimodal": {"1": {"window_accuracy": 0.5,
@@ -461,6 +482,18 @@ BAD_INPUTS = {
     "report version 2": ("report.json", lambda _: {**REPORT, "vimu_report": 2}, 2, "report version 2"),
     "report lacks its version": ("report.json", lambda _: _without("vimu_report")(REPORT), 2,
                                  "report version None"),
+    "virtual motion given as windows": ("windows", lambda tmp, windows: [
+        "train-gan", "--windows", _virtual_file(tmp), "--out", str(tmp / "out")], 2,
+        "virtual.npz holds no semg_gan array"),
+    "windows not an npz": ("windows", lambda tmp, windows: [
+        "train-gan", "--windows", _text_file(tmp), "--out", str(tmp / "out")], 2,
+        "windows.txt is not a readable .npz archive"),
+    "window metadata not JSON": ("windows", lambda tmp, windows: [
+        "train-gan", "--windows", _bad_meta_file(tmp, windows), "--out", str(tmp / "out")], 2,
+        "bad_meta.npz: meta_json is not JSON"),
+    "virtual motion not an npz": ("windows", lambda tmp, windows: [
+        "train-clf", "--windows", str(windows), "--stream", "semg+virtual", "--virtual", _text_file(tmp),
+        "--out", str(tmp / "out")], 2, "windows.txt is not a readable .npz archive"),
     "trial_seconds too short": ("synth", ["--trial-seconds", "3", "--subjects", "1",
                                           "--gestures", "2", "--trials", "1"], 1, "trial_seconds"),
     "sample rate zero": ("synth", ["--rate", "0", "--subjects", "1", "--gestures", "2",
@@ -478,6 +511,8 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
         argv = ["run", "--config", str(path)]
     elif target == "synth":
         argv = ["synth", "--out", out, *corrupt]
+    elif target == "windows":
+        argv = corrupt(tmp_path, windows_file)
     elif target == "trial":
         copy = tmp_path / "copy"
         shutil.copytree(dataset_dir, copy)

@@ -107,7 +107,7 @@ class TestAdam:
         assert state.step_count == 2
 
 
-# --- flat parameter vectors -------------------------------------------------
+# --- updates of a whole parameter set ---------------------------------------
 
 # "f" alone is longer than one block of the optimizers' walk over the vector
 SHAPES = {"a": (3, 4), "b": (5,), "c": (2, 3, 2), "d": (1,), "f": (300, 250), "e": (4, 1, 2)}
@@ -174,21 +174,11 @@ class TestFlatVectors:
             sgd_step(sched, params, epoch)
         assert_bytes_equal(params.state_dict(), want)
 
-    def test_parameters_are_views_into_one_vector(self):
-        params = mixed_params()
-        [(values, grads)] = params.flat()
-        assert values.size == sum(int(np.prod(s)) for s in SHAPES.values())
-        for p in params.params.values():
-            assert np.shares_memory(p.data, values)
-        values += 1.0
-        assert np.array_equal(params["d"].data, mixed_params()["d"].data + np.float32(1.0))
-
-    @pytest.mark.parametrize("how", ["load_state_dict", "copy", "astype", "rebind"])
+    @pytest.mark.parametrize("how", ["load_state_dict", "copy", "astype", "rebind", "rebind_after_step"])
     def test_updates_reach_the_parameters(self, how):
         source = mixed_params(seed=3)
         params = mixed_params(seed=4)
-        params.flat()
-        if how == "load_state_dict":
+        if how in ("load_state_dict", "rebind_after_step"):
             params.load_state_dict(source.state_dict())
         elif how == "copy":
             params = source.copy()
@@ -204,35 +194,45 @@ class TestFlatVectors:
         start = {k: v.copy() for k, v in params.state_dict().items()}
         grads = random_grads(np.random.default_rng(5), 3)
         state = AdamState(learning_rate=1e-2)
-        for step in grads:
+        for i, step in enumerate(grads):
+            if how == "rebind_after_step" and i == 1:
+                for p in params.params.values():
+                    p.data = p.data.copy()
             for k, g in step.items():
                 params[k].grad = g
             adam_step(state, params)
         assert_bytes_equal(params.state_dict(), reference_adam(start, grads, lr=1e-2))
         assert_bytes_equal(source.state_dict(), mixed_params(seed=3).state_dict())
 
-    def test_a_parameter_added_after_a_step_starts_from_zero_moments(self):
+    def test_a_parameter_without_a_gradient_moves_as_if_it_were_zero(self):
         params = mixed_params()
         start = {k: v.copy() for k, v in params.state_dict().items()}
-        grads = random_grads(np.random.default_rng(6), 2)
+        grads = random_grads(np.random.default_rng(6), 3)
         state = AdamState(learning_rate=1e-2)
-        for k, g in grads[0].items():
-            params[k].grad = g
+        for i, step in enumerate(grads):
+            for k, g in step.items():
+                # "c" has a gradient at the first step only; its moments then decay
+                params[k].grad = None if k == "c" and i else g
+            adam_step(state, params)
+        for step in grads[1:]:
+            step["c"] = np.zeros(SHAPES["c"], dtype=np.float32)
+        assert_bytes_equal(params.state_dict(), reference_adam(start, grads, lr=1e-2))
+
+    def test_a_grown_parameter_set_raises(self):
+        params = mixed_params()
+        state = AdamState(learning_rate=1e-2)
         adam_step(state, params)
         params.add_param("z", np.ones(3, dtype=np.float32))
-        for k, g in grads[1].items():
-            params[k].grad = g
-        gz = np.full(3, 0.5, dtype=np.float32)
-        params["z"].grad = gz
-        adam_step(state, params)
-        want = reference_adam(start, grads, lr=1e-2)
-        # "z" takes its first step with the bias correction of step 2
-        m = np.zeros(3, dtype=np.float32)
-        v = np.zeros(3, dtype=np.float32)
-        m *= 0.5
-        m += 0.5 * gz
-        v *= 0.999
-        v += (1.0 - 0.999) * (gz * gz)
-        want["z"] = np.ones(3, dtype=np.float32)
-        want["z"] -= 1e-2 * (m / (1.0 - 0.5**2)) / (np.sqrt(v / (1.0 - 0.999**2)) + 1e-8)
-        assert_bytes_equal(params.state_dict(), want)
+        before = {k: v.copy() for k, v in params.state_dict().items()}
+        with pytest.raises(ValueError, match="moments hold"):
+            adam_step(state, params)
+        assert state.step_count == 1
+        assert_bytes_equal(params.state_dict(), before)
+
+    def test_mixed_dtypes_raise(self):
+        params = mixed_params()
+        params.add_param("z", np.ones(3, dtype=np.float64))
+        state = AdamState()
+        with pytest.raises(ValueError, match="one dtype"):
+            adam_step(state, params)
+        assert state.step_count == 0 and state.m is None

@@ -1,13 +1,17 @@
-"""sha256 of every file `vimu run` and the staged classifier commands write, and of their datasets.
+"""sha256 of every file `vimu run` and the staged commands write, and of their datasets.
 
 Synthesizes two datasets (tiny and desk), runs the CLI's `run` command on
 the tiny config (all three arms), on the tiny config with cohort
 pretraining and generator snapshots, and on `desk_config` at seed 0. It
-also runs the staged classifier commands on the tiny set: `preprocess` with
-the tiny config's preprocessing flags, `train-clf --stream semg+imu` and
-`evaluate`. It then writes a JSON object mapping `<run>/<path inside
-out_dir>`, `staged/<file>` (the window table, the classifier bundle and the
-predictions CSV) and `<dataset>/<file>` (`manifest.json`,
+also runs every staged command that writes a file on the tiny set:
+`preprocess` with the tiny config's preprocessing flags, `train-clf
+--stream semg+imu` and `evaluate`; then `train-gan` with the tiny config's
+generator schedule, `generate-imu`, `train-clf --stream semg+virtual` and
+`evaluate --virtual`; and `report` on the tiny run's `report.json`. It
+then writes a JSON object mapping `<run>/<path inside out_dir>`,
+`staged/<path>` (the window table, the generator bundle, the virtual
+motion, both classifier bundles, both predictions CSVs and the re-emitted
+report) and `<dataset>/<file>` (`manifest.json`,
 `synth_config.json` and every `.gst` trial) to the file's sha256. Every
 path the runs see is relative to the work directory, so the configs, and
 with them each report's `config_fingerprint`, do not depend on where it is. Comparing two
@@ -59,21 +63,30 @@ def _digest_tree(directory: Path, digests: dict):
 
 
 def staged_commands(tiny: ExperimentConfig) -> list:
-    """argv of `preprocess`, `train-clf --stream semg+imu` and `evaluate` on the tiny set."""
-    p, net, clf = tiny.preproc, tiny.network, tiny.classifier
-    windows = "staged/windows.npz"
+    """argv of every staged command on the tiny set, in the order they run, after the tiny run."""
+    p, g, net, clf = tiny.preproc, tiny.gan, tiny.network, tiny.classifier
+    windows, virtual = "staged/windows.npz", "staged/virtual.npz"
+    train_clf = ["train-clf", "--windows", windows, "--epochs", str(clf.epochs),
+                 "--batch-size", str(clf.batch_size), "--conv-maps", str(net.conv_maps),
+                 "--lc-maps", str(net.lc_maps), "--dense-units", str(net.dense_units),
+                 "--fusion-hidden", str(net.fusion_hidden), "--seed", str(tiny.seed)]
     return [
         ["preprocess", "--dataset", tiny.dataset, "--out", windows,
          "--window-ms", str(p.window_ms), "--step-ms", str(p.step_ms),
          "--decimation", str(p.decimation), "--rms-ms", str(p.rms_ms),
          "--mavg-ms", str(p.mavg_ms), "--butter-cutoff-hz", str(p.butter_cutoff_hz)],
-        ["train-clf", "--windows", windows, "--stream", "semg+imu", "--out", "staged/classifier",
-         "--epochs", str(clf.epochs), "--batch-size", str(clf.batch_size),
-         "--conv-maps", str(net.conv_maps), "--lc-maps", str(net.lc_maps),
-         "--dense-units", str(net.dense_units), "--fusion-hidden", str(net.fusion_hidden),
-         "--seed", str(tiny.seed)],
+        [*train_clf, "--stream", "semg+imu", "--out", "staged/classifier"],
         ["evaluate", "--model", "staged/classifier", "--windows", windows,
          "--out", "staged/predictions.csv"],
+        ["train-gan", "--windows", windows, "--out", "staged/generator", "--epochs", str(g.epochs),
+         "--batch-size", str(g.batch_size), "--learning-rate", str(g.learning_rate),
+         "--dropout", str(g.dropout), "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
+         "--generator-maps", ",".join(map(str, g.generator_maps)), "--seed", str(tiny.seed)],
+        ["generate-imu", "--generator", "staged/generator", "--windows", windows, "--out", virtual],
+        [*train_clf, "--stream", "semg+virtual", "--virtual", virtual, "--out", "staged/virtual_classifier"],
+        ["evaluate", "--model", "staged/virtual_classifier", "--windows", windows, "--virtual", virtual,
+         "--out", "staged/virtual_predictions.csv"],
+        ["report", "--report", "tiny/report.json", "--out", "staged/report"],
     ]
 
 
