@@ -360,12 +360,11 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
             raise DivergenceError(f"non-finite adversarial loss at epoch {epoch}")
         for key, value in zip(("d_loss", "g_loss", "d_real", "d_fake", "value"), means):
             history[key].append(float(value))
-        if cfg.snapshot_every is not None and (epoch + 1) % cfg.snapshot_every == 0:
-            snapshots.append((epoch + 1, {k: v.copy() for k, v in gen.state_dict().items()}))
+        done = epoch + 1
+        if cfg.snapshot_every is not None and (done % cfg.snapshot_every == 0 or done == cfg.epochs):
+            snapshots.append((done, {k: v.copy() for k, v in gen.state_dict().items()}))
 
-    if cfg.snapshot_every is not None and cfg.epochs > 0:
-        if not snapshots or snapshots[-1][0] != cfg.epochs:
-            snapshots.append((cfg.epochs, {k: v.copy() for k, v in gen.state_dict().items()}))
+    if snapshots:
         chosen, log = _select_generator_iterate(gen_cfg, gen, snapshots, semg, imu)
         gen.load_state_dict(chosen)
         history["selection"] = log
@@ -397,12 +396,12 @@ def _training_pair_correlation(gen_cfg, params, semg, imu) -> float:
 
 
 def _select_generator_iterate(gen_cfg, gen, snapshots, semg, imu):
-    scratch = build_generator(gen_cfg, seed=0)
+    """The best-scoring snapshot state and the selection log; scoring leaves ``gen`` at the last snapshot."""
     best_state, best_epoch, best_corr = None, -1, -np.inf
     epochs, corrs = [], []
     for epoch, state in snapshots:
-        scratch.load_state_dict(state)
-        corr = _training_pair_correlation(gen_cfg, scratch, semg, imu)
+        gen.load_state_dict(state)
+        corr = _training_pair_correlation(gen_cfg, gen, semg, imu)
         epochs.append(epoch)
         corrs.append(corr)
         if corr > best_corr:

@@ -4,11 +4,17 @@ A network is a list of :class:`LayerSpec` plus a :class:`ParamSet` holding
 the named parameter tensors and batchnorm running statistics. Stacks are
 strictly sequential; multi-stream models compose several stacks and join
 them with :func:`vimu.nn.tensor.concat`.
+
+A layer kind is one entry of :data:`KINDS` (the input ranks it takes, its
+output shape, the parameters and buffers it reads, its forward) plus its op
+in :mod:`vimu.nn.tensor`. Shape propagation, initialization and execution
+all read that entry.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -22,29 +28,16 @@ from .tensor import Tensor
 # and 47 MB at 1024, where every layer streams it through memory.
 EVAL_BATCH = 256
 
-LAYER_KINDS = (
-    "conv2d",
-    "tconv2d",
-    "locally_connected",
-    "dense",
-    "batchnorm",
-    "relu",
-    "leaky_relu",
-    "tanh",
-    "sigmoid",
-    "softmax",
-    "dropout",
-    "flatten",
-)
-
 
 @dataclass(frozen=True)
 class LayerSpec:
     """One layer of a sequential stack.
 
-    Only the fields relevant to ``kind`` are read; the rest keep defaults.
-    ``padding`` is either an explicit (ph, pw) pair or the string "same"
-    (stride 1, odd kernels only).
+    ``kind`` is a key of :data:`KINDS`. Only the fields relevant to it are
+    read; the rest keep defaults. ``padding`` is either an explicit (ph, pw)
+    pair or the string "same" (stride 1, odd kernels only). The first run at
+    a new batch shape plans the layer, checking that shape, and every run
+    checks each parameter and buffer it reads against the plan.
     """
 
     kind: str
@@ -61,7 +54,7 @@ class LayerSpec:
     eps: float = 1e-5
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown layer kind {self.kind!r}")
         if not self.name:
             raise ConfigError("layer needs a name")
@@ -77,18 +70,19 @@ class LayerSpec:
             raise ConfigError(f"layer {self.name!r}: units must be >= 1")
         if self.kind == "dropout" and not (0.0 <= self.rate < 1.0):
             raise ConfigError(f"layer {self.name!r}: dropout rate must be in [0, 1)")
+        if self.kind in ("conv2d", "tconv2d"):
+            pad, (kh, kw) = self.padding, self.kernel
+            if pad == "same":
+                if self.stride != (1, 1) or kh % 2 == 0 or kw % 2 == 0:
+                    raise ConfigError(f"layer {self.name!r}: 'same' padding requires stride 1 and odd kernels")
+                pad = ((kh - 1) // 2, (kw - 1) // 2)
+            object.__setattr__(self, "_pad", (int(pad[0]), int(pad[1])))
+        # the batch shape the layer last ran at, its forward and what it reads there (see run_stack)
+        object.__setattr__(self, "_plan", (None, None, ()))
 
-
-def _resolve_padding(spec: LayerSpec):
-    if spec.padding == "same":
-        if spec.stride != (1, 1):
-            raise ConfigError(f"layer {spec.name!r}: 'same' padding requires stride 1")
-        kh, kw = spec.kernel
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ConfigError(f"layer {spec.name!r}: 'same' padding requires odd kernels")
-        return (kh - 1) // 2, (kw - 1) // 2
-    ph, pw = spec.padding
-    return int(ph), int(pw)
+    def __reduce__(self):
+        # pickled by its fields; the padding and the plan are worked out again
+        return LayerSpec, tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
 
 class ParamSet:
@@ -202,38 +196,108 @@ def backprop(loss: Tensor, params: ParamSet):
 
 
 # ---------------------------------------------------------------------------
+# layer kinds
+#
+# Shapes are one sample's: (maps, h, w) or (features,). A kind takes inputs
+# of the ``ranks`` it lists (None: any); ``needs`` gives the (suffix, shape)
+# of each parameter and buffer (suffixes in ``_BUFFERS``) in creation order.
+# A forward looks its op up through ``T`` on every call.
+
+_BUFFERS = (".mean", ".var")
+
+
+class _Kind(NamedTuple):
+    ranks: tuple | None
+    shape: Callable  # (spec, in_shape) -> out_shape
+    needs: Callable  # (spec, in_shape) -> ((suffix, shape), ...)
+    forward: Callable  # (spec, t, found, (mode, rng, update_stats, params, prefix)) -> Tensor
+
+
+def _conv_shape(spec, s, pad):
+    (kh, kw), (sh, sw) = spec.kernel, spec.stride
+    return (spec.maps, T.conv_output_size(s[1], kh, sh, pad[0]), T.conv_output_size(s[2], kw, sw, pad[1]))
+
+
+def _tconv_shape(spec, s):
+    (kh, kw), (sh, sw), (ph, pw), (oph, opw) = spec.kernel, spec.stride, spec._pad, spec.output_padding
+    return (spec.maps, T.tconv_output_size(s[1], kh, sh, ph, oph), T.tconv_output_size(s[2], kw, sw, pw, opw))
+
+
+def _local_needs(spec, s):
+    _, oh, ow = _conv_shape(spec, s, (0, 0))
+    return ((".w", (oh, ow, spec.maps, s[0], *spec.kernel)), (".b", (spec.maps, oh, ow)))
+
+
+def _batchnorm(spec, t, found, run):
+    gamma, beta, mean, var = found
+    mode, _, update_stats, params, prefix = run
+    if mode == "eval":
+        return T.batchnorm_eval(t, gamma, beta, mean, var, spec.eps)
+    out, batch_mean, batch_var = T.batchnorm_train(t, gamma, beta, spec.eps)
+    if update_stats:
+        m, key = spec.momentum, prefix + spec.name
+        params.buffers[key + ".mean"] = (m * mean + (1.0 - m) * batch_mean).astype(mean.dtype, copy=False)
+        params.buffers[key + ".var"] = (m * var + (1.0 - m) * batch_var).astype(mean.dtype, copy=False)
+    return out
+
+
+def _dropout(spec, t, found, run):
+    mode, rng = run[:2]
+    if mode == "eval" or spec.rate == 0.0:
+        return t
+    if rng is None:
+        raise ConfigError(f"layer {spec.name!r}: dropout in train mode needs an rng")
+    mask = ((rng.random(t.data.shape) >= spec.rate) / (1.0 - spec.rate)).astype(t.data.dtype)
+    return T.dropout_mask(t, mask)
+
+
+def _same(spec, s):
+    return s
+
+
+def _nothing(spec, s):
+    return ()
+
+
+KINDS = {
+    "conv2d": _Kind((3,), lambda spec, s: _conv_shape(spec, s, spec._pad),
+                    lambda spec, s: ((".w", (spec.maps, s[0], *spec.kernel)), (".b", (spec.maps,))),
+                    lambda spec, t, found, run: T.conv2d(t, found[0], found[1], spec.stride, spec._pad)),
+    "tconv2d": _Kind((3,), _tconv_shape,
+                     lambda spec, s: ((".w", (s[0], spec.maps, *spec.kernel)), (".b", (spec.maps,))),
+                     lambda spec, t, found, run: T.tconv2d(t, found[0], found[1], spec.stride, spec._pad,
+                                                           spec.output_padding)),
+    "locally_connected": _Kind((3,), lambda spec, s: _conv_shape(spec, s, (0, 0)), _local_needs,
+                               lambda spec, t, found, run: T.local2d(t, found[0], found[1], spec.stride)),
+    "dense": _Kind((1,), lambda spec, s: (spec.units,),
+                   lambda spec, s: ((".w", (s[0], spec.units)), (".b", (spec.units,))),
+                   lambda spec, t, found, run: T.dense(t, found[0], found[1])),
+    "batchnorm": _Kind((1, 3), _same,
+                       lambda spec, s: tuple((sfx, s[:1]) for sfx in (".gamma", ".beta") + _BUFFERS), _batchnorm),
+    "relu": _Kind(None, _same, _nothing, lambda spec, t, found, run: T.relu(t)),
+    "leaky_relu": _Kind(None, _same, _nothing, lambda spec, t, found, run: T.leaky_relu(t, spec.slope)),
+    "tanh": _Kind(None, _same, _nothing, lambda spec, t, found, run: T.tanh_act(t)),
+    "sigmoid": _Kind(None, _same, _nothing, lambda spec, t, found, run: T.sigmoid_act(t)),
+    "softmax": _Kind((1,), _same, _nothing, lambda spec, t, found, run: T.softmax_rows(t)),
+    "dropout": _Kind(None, _same, _nothing, _dropout),
+    "flatten": _Kind((1, 2, 3), lambda spec, s: (int(np.prod(s)),), _nothing,
+                     lambda spec, t, found, run: T.reshape(t, (t.data.shape[0], -1))),
+}
+
+
+# ---------------------------------------------------------------------------
 # shape propagation and initialization
 
 def layer_output_shape(spec: LayerSpec, in_shape: tuple) -> tuple:
     """Propagate a (maps, h, w) or (features,) shape through one layer."""
-    kind = spec.kind
-    if kind in ("conv2d", "locally_connected"):
-        if len(in_shape) != 3:
-            raise ConfigError(f"layer {spec.name!r}: expected (maps, h, w) input, got {in_shape}")
-        _, h, w = in_shape
-        ph, pw = _resolve_padding(spec) if kind == "conv2d" else (0, 0)
-        oh = T.conv_output_size(h, spec.kernel[0], spec.stride[0], ph)
-        ow = T.conv_output_size(w, spec.kernel[1], spec.stride[1], pw)
-        if oh < 1 or ow < 1:
-            raise ConfigError(f"layer {spec.name!r}: output collapses to {oh}x{ow}")
-        return (spec.maps, oh, ow)
-    if kind == "tconv2d":
-        if len(in_shape) != 3:
-            raise ConfigError(f"layer {spec.name!r}: expected (maps, h, w) input, got {in_shape}")
-        _, h, w = in_shape
-        ph, pw = _resolve_padding(spec)
-        oh = T.tconv_output_size(h, spec.kernel[0], spec.stride[0], ph, spec.output_padding[0])
-        ow = T.tconv_output_size(w, spec.kernel[1], spec.stride[1], pw, spec.output_padding[1])
-        if oh < 1 or ow < 1:
-            raise ConfigError(f"layer {spec.name!r}: output collapses to {oh}x{ow}")
-        return (spec.maps, oh, ow)
-    if kind == "dense":
-        if len(in_shape) != 1:
-            raise ConfigError(f"layer {spec.name!r}: dense expects flat input, got {in_shape}")
-        return (spec.units,)
-    if kind == "flatten":
-        return (int(np.prod(in_shape)),)
-    return in_shape
+    kind, in_shape = KINDS[spec.kind], tuple(in_shape)
+    if kind.ranks and len(in_shape) not in kind.ranks:
+        ranks = " or ".join(map(str, kind.ranks))
+        raise ConfigError(f"layer {spec.name!r}: {spec.kind} takes rank {ranks} input, got {in_shape}")
+    out_shape = kind.shape(spec, in_shape)
+    if min(out_shape, default=1) < 1:
+        raise ConfigError(f"layer {spec.name!r}: output collapses to {out_shape}")
+    return out_shape
 
 
 def stack_output_shape(layers, in_shape: tuple) -> tuple:
@@ -265,7 +329,10 @@ def init_stack_params(
     prefix: str = "",
     into: ParamSet | None = None,
 ) -> ParamSet:
-    """Create parameters for a stack, drawing weights layer by layer."""
+    """Create each layer's parameters and buffers, drawing weights layer by layer.
+
+    ``.w`` draws from N(0, std(fan-in)); ``.gamma`` and ``.var`` start at one, the rest at zero.
+    """
     rng = np.random.default_rng(seed)
     params = into if into is not None else ParamSet()
     params.init_record[prefix or "stack"] = {"scheme": scheme, "seed": int(seed)}
@@ -275,41 +342,16 @@ def init_stack_params(
         if spec.name in seen:
             raise ConfigError(f"duplicate layer name {spec.name!r}")
         seen.add(spec.name)
-        key = prefix + spec.name
-        if spec.kind == "conv2d":
-            ci = shape[0]
-            kh, kw = spec.kernel
-            std = _weight_std(scheme, ci * kh * kw)
-            params.add_param(key + ".w", rng.normal(0.0, std, (spec.maps, ci, kh, kw)).astype(dtype))
-            params.add_param(key + ".b", np.zeros(spec.maps, dtype=dtype))
-        elif spec.kind == "tconv2d":
-            ci = shape[0]
-            kh, kw = spec.kernel
-            std = _weight_std(scheme, ci * kh * kw)
-            params.add_param(key + ".w", rng.normal(0.0, std, (ci, spec.maps, kh, kw)).astype(dtype))
-            params.add_param(key + ".b", np.zeros(spec.maps, dtype=dtype))
-        elif spec.kind == "locally_connected":
-            ci = shape[0]
-            out_shape = layer_output_shape(spec, shape)
-            kh, kw = spec.kernel
-            std = _weight_std(scheme, ci * kh * kw)
-            oh, ow = out_shape[1], out_shape[2]
-            params.add_param(
-                key + ".w", rng.normal(0.0, std, (oh, ow, spec.maps, ci, kh, kw)).astype(dtype)
-            )
-            params.add_param(key + ".b", np.zeros((spec.maps, oh, ow), dtype=dtype))
-        elif spec.kind == "dense":
-            fan_in = shape[0]
-            std = _weight_std(scheme, fan_in)
-            params.add_param(key + ".w", rng.normal(0.0, std, (fan_in, spec.units)).astype(dtype))
-            params.add_param(key + ".b", np.zeros(spec.units, dtype=dtype))
-        elif spec.kind == "batchnorm":
-            feats = shape[0]
-            params.add_param(key + ".gamma", np.ones(feats, dtype=dtype))
-            params.add_param(key + ".beta", np.zeros(feats, dtype=dtype))
-            params.add_buffer(key + ".mean", np.zeros(feats, dtype=dtype))
-            params.add_buffer(key + ".var", np.ones(feats, dtype=dtype))
-        shape = layer_output_shape(spec, shape)
+        out_shape = layer_output_shape(spec, shape)
+        for suffix, need in KINDS[spec.kind].needs(spec, shape):
+            if suffix == ".w":
+                fan_in = shape[0] * (spec.kernel[0] * spec.kernel[1] if len(shape) == 3 else 1)
+                value = rng.normal(0.0, _weight_std(scheme, fan_in), need).astype(dtype)
+            else:
+                value = (np.ones if suffix in (".gamma", ".var") else np.zeros)(need, dtype=dtype)
+            add = params.add_buffer if suffix in _BUFFERS else params.add_param
+            add(prefix + spec.name + suffix, value)
+        shape = out_shape
     return params
 
 
@@ -329,100 +371,35 @@ def run_stack(
 
     Train mode uses batch statistics (and, when ``update_stats`` is set,
     refreshes the running buffers); eval mode uses the stored running
-    statistics and turns dropout into the identity.
+    statistics and turns dropout into the identity. A layer whose input
+    shape does not fit it, or whose parameters and buffers are missing or
+    not of the shapes it needs at that input, raises :class:`ConfigError`.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown mode {mode!r}")
     t = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
+    run = (mode, rng, update_stats, params, prefix)
+    tensors, buffers = params.params, params.buffers
     for spec in layers:
-        t = _apply(spec, params, t, mode, rng, update_stats, prefix)
+        shape, forward, needs = spec._plan
+        if shape != t.data.shape:
+            shape, forward, needs = _plan(spec, t.data.shape)
+        found = []
+        for name, want, buffer in needs:
+            value = (buffers if buffer else tensors).get(prefix + name)
+            if value is None or (value if buffer else value.data).shape != want:
+                have = "none" if value is None else (value if buffer else value.data).shape
+                raise ConfigError(f"layer {spec.name!r}: input {shape} needs {prefix + name!r} "
+                                  f"of shape {want}, found {have}")
+            found.append(value)
+        t = forward(spec, t, found, run)
     return t
 
 
-def _need_ndim(spec, t, ndim):
-    if t.data.ndim != ndim:
-        raise ConfigError(
-            f"layer {spec.name!r}: expected {ndim}D input, got shape {t.data.shape}"
-        )
-
-
-def _apply(spec, params, t, mode, rng, update_stats, prefix):
-    kind = spec.kind
-    key = prefix + spec.name
-    if kind == "conv2d":
-        _need_ndim(spec, t, 4)
-        w = params[key + ".w"]
-        if w.data.shape[1] != t.data.shape[1]:
-            raise ConfigError(
-                f"layer {spec.name!r}: weight expects {w.data.shape[1]} maps, input has {t.data.shape[1]}"
-            )
-        return T.conv2d(t, w, params[key + ".b"], spec.stride, _resolve_padding(spec))
-    if kind == "tconv2d":
-        _need_ndim(spec, t, 4)
-        w = params[key + ".w"]
-        if w.data.shape[0] != t.data.shape[1]:
-            raise ConfigError(
-                f"layer {spec.name!r}: weight expects {w.data.shape[0]} maps, input has {t.data.shape[1]}"
-            )
-        return T.tconv2d(t, w, params[key + ".b"], spec.stride, _resolve_padding(spec), spec.output_padding)
-    if kind == "locally_connected":
-        _need_ndim(spec, t, 4)
-        w = params[key + ".w"]
-        if w.data.shape[3] != t.data.shape[1]:
-            raise ConfigError(
-                f"layer {spec.name!r}: weight expects {w.data.shape[3]} maps, input has {t.data.shape[1]}"
-            )
-        return T.local2d(t, w, params[key + ".b"], spec.stride)
-    if kind == "dense":
-        _need_ndim(spec, t, 2)
-        w = params[key + ".w"]
-        if w.data.shape[0] != t.data.shape[1]:
-            raise ConfigError(
-                f"layer {spec.name!r}: weight expects {w.data.shape[0]} features, input has {t.data.shape[1]}"
-            )
-        return T.dense(t, w, params[key + ".b"])
-    if kind == "batchnorm":
-        gamma = params[key + ".gamma"]
-        if t.data.ndim not in (2, 4) or t.data.shape[1] != gamma.data.shape[0]:
-            raise ConfigError(
-                f"layer {spec.name!r}: batchnorm over {gamma.data.shape[0]} features, input shape {t.data.shape}"
-            )
-        if mode == "train":
-            out, mu, var = T.batchnorm_train(t, gamma, params[key + ".beta"], spec.eps)
-            if update_stats:
-                dtype = params.buffers[key + ".mean"].dtype
-                params.buffers[key + ".mean"] = (
-                    spec.momentum * params.buffers[key + ".mean"] + (1.0 - spec.momentum) * mu
-                ).astype(dtype)
-                params.buffers[key + ".var"] = (
-                    spec.momentum * params.buffers[key + ".var"] + (1.0 - spec.momentum) * var
-                ).astype(dtype)
-            return out
-        return T.batchnorm_eval(
-            t, gamma, params[key + ".beta"],
-            params.buffers[key + ".mean"], params.buffers[key + ".var"], spec.eps,
-        )
-    if kind == "relu":
-        return T.relu(t)
-    if kind == "leaky_relu":
-        return T.leaky_relu(t, spec.slope)
-    if kind == "tanh":
-        return T.tanh_act(t)
-    if kind == "sigmoid":
-        return T.sigmoid_act(t)
-    if kind == "softmax":
-        _need_ndim(spec, t, 2)
-        return T.softmax_rows(t)
-    if kind == "dropout":
-        if mode == "eval" or spec.rate == 0.0:
-            return t
-        if rng is None:
-            raise ConfigError(f"layer {spec.name!r}: dropout in train mode needs an rng")
-        keep = 1.0 - spec.rate
-        mask = ((rng.random(t.data.shape) >= spec.rate) / keep).astype(t.data.dtype)
-        return T.dropout_mask(t, mask)
-    if kind == "flatten":
-        if t.data.ndim < 2:
-            raise ConfigError(f"layer {spec.name!r}: flatten expects batched input")
-        return T.reshape(t, (t.data.shape[0], -1))
-    raise ConfigError(f"layer {spec.name!r}: {kind} cannot run inside a sequential stack")
+def _plan(spec, batch_shape):
+    """Check that ``spec`` takes ``batch_shape``; its forward and (name, shape, is buffer) needs there."""
+    in_shape, kind = batch_shape[1:], KINDS[spec.kind]
+    layer_output_shape(spec, in_shape)
+    needs = tuple((spec.name + sfx, want, sfx in _BUFFERS) for sfx, want in kind.needs(spec, in_shape))
+    object.__setattr__(spec, "_plan", (batch_shape, kind.forward, needs))
+    return spec._plan

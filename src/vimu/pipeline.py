@@ -49,6 +49,7 @@ from .gan import (
     GeneratorConfig,
     data_fingerprint,
     generate_virtual,
+    normalize_generator_inputs,
     save_generator_bundle,
     train_gan,
 )
@@ -715,7 +716,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             gan_cfg = replace(cfg.gan, seed=derive_seed(cfg.seed, "gan"))
             bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg,
                                                   out_dir / "gan" if write_outputs else None)
-            semg_for_generator = apply_norm(table.semg_gan, bundle.semg_stats, "zscore").astype(np.float32)
+            semg_for_generator = normalize_generator_inputs(bundle, table.semg_gan).astype(np.float32)
             virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
 
         for arm in cfg.arms:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -262,11 +264,30 @@ def test_flatten_and_dense_shapes():
     assert out.data.shape == (2, 7)
 
 
-def test_shape_mismatch_names_the_layer():
-    layers = [LayerSpec("dense", "final", units=3)]
-    params = init_stack_params(layers, (5,), seed=0)
+# (layer, input it is built for, batch it runs on, buffer taken away)
+MISMATCHES = {
+    "dense": (LayerSpec("dense", "final", units=3), (5,), (2, 6), None),
+    # as many positions as built, transposed: only the full weight shape tells them apart
+    "local_1x1": (LayerSpec("locally_connected", "final", maps=2, kernel=(1, 1)), (1, 2, 3), (4, 1, 3, 2), None),
+    "local_3x3": (LayerSpec("locally_connected", "final", maps=2, kernel=(3, 3)), (1, 4, 5), (4, 1, 5, 5), None),
+    "batchnorm_no_var": (LayerSpec("batchnorm", "final"), (3,), (2, 3), "final.var"),
+}
+
+
+@pytest.mark.parametrize("spec,built_for,batch,dropped", MISMATCHES.values(), ids=MISMATCHES)
+def test_shape_mismatch_names_the_layer(spec, built_for, batch, dropped):
+    params = init_stack_params([spec], built_for, seed=0)
+    if dropped:
+        del params.buffers[dropped]
     with pytest.raises(ConfigError, match="final"):
-        run_stack(layers, params, np.ones((2, 6), dtype=np.float32), mode="eval")
+        run_stack([spec], params, np.ones(batch, dtype=np.float32), mode="eval")
+
+
+def test_a_layer_that_has_run_still_pickles():
+    spec = LayerSpec("conv2d", "c", maps=2, padding="same")
+    params = init_stack_params([spec], (1, 4, 3), seed=0)
+    run_stack([spec], params, np.ones((2, 1, 4, 3), dtype=np.float32), mode="eval")
+    assert pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_concat_joins_and_splits_gradients():
