@@ -16,13 +16,17 @@ Every JSON file vimu writes (manifests, synthetic-set configs, bundle
 sidecars, generator histories, reports) goes through :func:`write_json`:
 indent 2, sorted keys, a trailing newline, UTF-8. :func:`read_json` reads
 one back through a codec class, so every file is type-checked on load.
+:func:`write_json` and the checkpoint writer write through
+:func:`replacing`, so a file at its final name is never half-written.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
 import numbers
+import os
 import typing
 from pathlib import Path
 from types import UnionType
@@ -104,9 +108,30 @@ def _schema(cls):
     return {f.name: hints[f.name] for f in fields}, required
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str, **kwargs):
+    """Open a temporary file beside ``path`` that replaces ``path`` when the block ends cleanly.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    what it held. A process killed mid-write may leave the temporary file
+    (a hidden name ending in ``.tmp``), never a half-written ``path``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_json(path, doc):
     """Write ``doc`` in the one on-disk form: indent 2, sorted keys, trailing newline, UTF-8."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def read_json(path, cls):

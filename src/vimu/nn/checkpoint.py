@@ -11,7 +11,9 @@ Layout (all little-endian):
         payload  prod(dims) float32 values, row-major
 
 Round trips are bit-exact: loading a file and saving the result reproduces
-the original bytes. Truncation anywhere inside a record is rejected.
+the original bytes. Truncation anywhere inside a record is rejected. A save
+writes a temporary file and renames it into place, so a failed or killed
+save never leaves a half-written checkpoint at the path.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ import struct
 
 import numpy as np
 
+from ..codec import replacing
 from ..errors import FormatError
 
 MAGIC = b"VIMU"
@@ -27,7 +30,7 @@ VERSION = 1
 
 def save_tensors(path, tensors: dict):
     """Write named arrays as float32 records in dict order."""
-    with open(path, "wb") as fh:
+    with replacing(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))
         for name, arr in tensors.items():

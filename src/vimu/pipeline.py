@@ -6,14 +6,17 @@ train the adversarial generator on its cohort, synthesize virtual motion
 windows for the recognition subjects, then train and evaluate the requested
 arms (muscle-only, muscle + virtual motion, muscle + real motion) per
 subject. The arms that need no generator train in a forked helper process
-while the generator trains. A leakage guard checks every training batch's
-(subject, trial) tags against the split plan.
+while the generator trains; with OpenBLAS on one thread per process the
+helper then trains the later half of the virtual arm's subjects while this
+process trains the first half. A leakage guard checks every training
+batch's (subject, trial) tags against the split plan.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
+import mmap
 import os
 import pickle
 import signal
@@ -555,36 +558,65 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
 
 
 class _ArmHelper:
-    """A forked child process that trains ``arms`` in order through ``train_arm``.
+    """A forked child process that trains ``units`` in order through ``train_arm``.
 
-    The child pickles one (rows, error) message per arm through a pipe,
-    stops after the first error and ends with ``os._exit``. ``rows(arm)``
-    reads the next message and raises the error it carries; ``close()``
-    kills the child if it still runs and reaps it.
+    A unit is (arm, recognition subjects). The child pickles one (arm, rows,
+    error) message per unit through a pipe, whatever the earlier units
+    raised, and ends with ``os._exit``. With ``virtual_shape`` set, a
+    shared anonymous buffer of that shape holds the virtual motion windows:
+    the child's virtual_multimodal unit waits for the byte ``send_virtual``
+    writes on a second pipe once it has filled the buffer. ``rows(arm)``
+    reads messages until that arm's arrives, keeps the ones ahead of it,
+    and raises the error it carries; ``close()`` kills the child if it
+    still runs and reaps it.
     """
 
-    def __init__(self, arms, train_arm):
-        self.arms = tuple(arms)
+    def __init__(self, units, train_arm, virtual_shape=None):
+        self.arms = tuple(arm for arm, _ in units)
+        self._messages = {}
+        windows = ready_read = self._ready = None
+        if virtual_shape is not None:
+            buffer = mmap.mmap(-1, 4 * int(np.prod(virtual_shape)))  # shared, anonymous, float32
+            windows = np.ndarray(virtual_shape, np.float32, buffer=buffer)
+            ready_read, self._ready = os.pipe()
         read_fd, write_fd = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             os.close(read_fd)
-            _serve_arms(self.arms, train_arm, write_fd)
+            if self._ready is not None:
+                os.close(self._ready)
+            _serve_arms(units, train_arm, write_fd, windows, ready_read)
         os.close(write_fd)
+        if ready_read is not None:
+            os.close(ready_read)
+        self._windows = windows
         self._pipe = os.fdopen(read_fd, "rb")
 
-    def rows(self, arm: str) -> dict:
+    def send_virtual(self, virtual: np.ndarray):
+        """Fill the shared buffer and wake the child's virtual unit; never blocks."""
+        self._windows[...] = virtual
         try:
-            rows, error = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise ChildProcessError(f"the arm helper process ended with {self._reap()} "
-                                    f"before reporting the {arm} arm") from None
+            os.write(self._ready, b"\1")
+        except BrokenPipeError:  # the child is gone; rows() reports how it ended
+            pass
+
+    def rows(self, arm: str) -> dict:
+        while arm not in self._messages:
+            try:
+                unit, rows, error = pickle.load(self._pipe)
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"the arm helper process ended with {self._reap()} "
+                                        f"before reporting the {arm} arm") from None
+            self._messages[unit] = rows, error
+        rows, error = self._messages.pop(arm)
         if error is not None:
             raise error
         return rows
 
     def close(self):
         self._pipe.close()
+        if self._ready is not None:
+            os.close(self._ready)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
@@ -596,35 +628,59 @@ class _ArmHelper:
         return f"exit status {code}" + (f" (killed by signal {-code})" if code < 0 else "")
 
 
-def _serve_arms(arms, train_arm, fd):
-    """The helper's body: one pickled (rows, error) per arm up to the first error; never returns."""
+def _serve_arms(units, train_arm, fd, windows, ready_fd):
+    """The helper's body: one pickled (arm, rows, error) per unit; never returns.
+
+    The virtual_multimodal unit first reads the ready byte from ``ready_fd``,
+    then trains on ``windows``.
+    """
     code = 1
     try:
         with os.fdopen(fd, "wb") as pipe:
-            for arm in arms:
+            for arm, subjects in units:
                 rows = error = None
                 try:
-                    rows = train_arm(arm)
+                    if arm == "virtual_multimodal" and not os.read(ready_fd, 1):
+                        raise ChildProcessError("the main process sent no virtual motion windows")
+                    rows = train_arm(arm, virtual=windows, subjects=subjects)
                 except Exception as exc:
                     error = exc
                     if hasattr(error, "add_note"):  # Python 3.11+: the traceback goes along
                         error.add_note("raised in the arm helper process:\n"
                                        + "".join(traceback.format_exception(error)))
-                pickle.dump((rows, error), pipe)
+                pickle.dump((arm, rows, error), pipe)
                 pipe.flush()
-                if error is not None:
-                    break
         code = 0
     finally:
         os._exit(code)
 
 
-def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTable, classes: int,
-               classifiers_dir=None, virtual=None) -> dict:
-    """Train and evaluate one classifier per recognition subject on ``arm``; its per-subject rows.
+def _one_blas_thread() -> bool:
+    """Whether OpenBLAS is set to one thread per process, read from its variables in its order.
 
-    With ``classifiers_dir`` set each subject's bundle is written under
-    ``classifiers_dir/arm``.
+    Without one of them set to a positive count, OpenBLAS starts a thread
+    per core in each process. Two such pools on the same cores slow each
+    other down: on a two-core machine the desk virtual arm took about 5.5 s
+    split between two processes against 2.5 s in one.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value) == 1
+    return False
+
+
+def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTable, classes: int,
+               classifiers_dir=None, virtual=None, subjects=None) -> dict:
+    """Train and evaluate one classifier per subject on ``arm``; its per-subject rows.
+
+    ``subjects`` defaults to every recognition subject. The arm's
+    preparation (the input z-score fitted on all its recognition subjects'
+    training windows and, with ``classifier.pretrain``, the pooled model)
+    does not depend on ``subjects``, and each subject's classifier has seeds
+    of its own, so any share of the subjects gets the rows and bundles the
+    whole arm gives those subjects. With ``classifiers_dir`` set each
+    subject's bundle is written under ``classifiers_dir/arm``.
     """
     rec_mask = np.isin(table.subjects, plan.recognition_subjects)
     train_mask = rec_mask & np.isin(table.trials, plan.clf_train_trials)
@@ -643,7 +699,7 @@ def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTa
                          pool_cfg)
 
     arm_rows = {}
-    for subject in plan.recognition_subjects:
+    for subject in plan.recognition_subjects if subjects is None else subjects:
         s_train = train_mask & (table.subjects == subject)
         s_test = test_mask & (table.subjects == subject)
         assert_no_leakage(plan, table.subjects[s_train], table.trials[s_train], "clf_train")
@@ -676,11 +732,16 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
 
     Only the virtual arm needs the generator. When it is requested with
     other arms, a forked helper process trains those while this process
-    trains the generator, synthesizes virtual motion and runs the virtual
-    arm (inline where ``os.fork`` does not exist). Every arm's work and
-    outputs are those of the serial run, and the arms' rows and errors are
-    taken in ``cfg.arms`` order, so a run raises the error the serial order
-    would have raised first.
+    trains the generator and synthesizes virtual motion. With more than one
+    recognition subject and OpenBLAS set to one thread per process, this
+    process then passes the virtual windows to the helper through a shared
+    buffer and the two split the virtual arm: this process trains the first
+    half of the subjects (rounded up), the helper the rest. Each repeats the
+    arm's deterministic preparation. Where ``os.fork`` does not exist every
+    arm runs here. Every arm's work and outputs are those of the serial
+    run, and rows and errors are taken in ``cfg.arms`` order, then subject
+    order, so a run raises the error the serial order would have raised
+    first.
     """
     dataset = Dataset(cfg.dataset)
     profile = resolve_profile(cfg.profile, dataset.manifest)
@@ -702,9 +763,14 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
     train_arm = partial(_train_arm, cfg=cfg, plan=plan, table=table, classes=dataset.manifest.gestures,
                         classifiers_dir=out_dir / "classifiers" if write_outputs else None)
     helper = None
-    generator_free = [arm for arm in cfg.arms if arm != "virtual_multimodal"]
-    if need_virtual and generator_free and hasattr(os, "fork"):
-        helper = _ArmHelper(generator_free, train_arm)
+    main_share = None  # the virtual arm's subjects this process trains, when the helper trains the rest
+    units = [(arm, None) for arm in cfg.arms if arm != "virtual_multimodal"]
+    if need_virtual and units and hasattr(os, "fork"):
+        half = (len(plan.recognition_subjects) + 1) // 2
+        if half < len(plan.recognition_subjects) and _one_blas_thread():
+            main_share = plan.recognition_subjects[:half]
+            units.append(("virtual_multimodal", plan.recognition_subjects[half:]))
+        helper = _ArmHelper(units, train_arm, table.imu.shape if main_share else None)
     per_subject = {}
     try:
         # Generator training on its cohort, then virtual-window synthesis.
@@ -718,9 +784,14 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
                                                   out_dir / "gan" if write_outputs else None)
             semg_for_generator = normalize_generator_inputs(bundle, table.semg_gan).astype(np.float32)
             virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
+            if main_share:
+                helper.send_virtual(virtual)
 
         for arm in cfg.arms:
-            if helper is not None and arm in helper.arms:
+            if arm == "virtual_multimodal" and main_share:
+                per_subject[arm] = train_arm(arm, virtual=virtual, subjects=main_share)
+                per_subject[arm].update(helper.rows(arm))
+            elif helper is not None and arm in helper.arms:
                 per_subject[arm] = helper.rows(arm)
             else:
                 per_subject[arm] = train_arm(arm, virtual=virtual)

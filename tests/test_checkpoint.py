@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vimu.codec import write_json
 from vimu.errors import FormatError
 from vimu.nn.checkpoint import MAGIC, load_tensors, save_tensors
 
@@ -66,3 +67,23 @@ def test_empty_checkpoint_round_trips(tmp_path):
     path = tmp_path / "empty.ckpt"
     save_tensors(path, {})
     assert load_tensors(path) == {}
+
+
+def test_failed_save_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_tensors(path, sample_tensors())
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save_tensors(path, {"head.w": np.ones(3), "head.b": "not a number"})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
+def test_failed_json_write_keeps_the_earlier_file(tmp_path):
+    path = tmp_path / "classifier.json"
+    write_json(path, {"seed": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(path, {"seed": object()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["classifier.json"]

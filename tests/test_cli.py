@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from test_pipeline import tiny_config
+from test_pipeline import on_subject_training, tiny_config
 
 from vimu import pipeline
 from vimu.cli import main
@@ -231,21 +231,16 @@ ALL_ARMS = "unimodal,virtual_multimodal,real_multimodal"
 
 
 def _fail_arms(monkeypatch, errors):
-    """Make train_classifier raise ``errors[arm]`` for the arms it names (seed 0 configs).
+    """Make train_classifier raise ``errors[arm]``, or ``errors[(arm, subject)]``, where one is named.
 
-    The patch is on the module, so a forked helper inherits it.
+    For seed-0 configs; a forked helper inherits the patch.
     """
-    arm_of = {derive_seed(0, arm, "sgd", subject): arm
-              for arm in pipeline.ARMS for subject in range(10)}
-    train = pipeline.train_classifier
-
-    def failing(model, arrays, labels, cfg):
-        error = errors.get(arm_of[cfg.seed])
+    def fail(arm, subject):
+        error = errors.get(arm, errors.get((arm, subject)))
         if error is not None:
             raise error
-        return train(model, arrays, labels, cfg)
 
-    monkeypatch.setattr(pipeline, "train_classifier", failing)
+    on_subject_training(monkeypatch, fail)
 
 
 def _assert_no_child_left():
@@ -331,6 +326,44 @@ class TestArmHelper:
         assert code == 2
         assert err == ("data error: the arm helper process ended with exit status -9 "
                        "(killed by signal 9) before reporting the unimodal arm\n")
+
+    # With OpenBLAS set to one thread the two-subject set splits the virtual
+    # arm: subject 1 trains in this process, subject 2 in the helper after
+    # its generator-free arms.
+
+    def test_a_helper_virtual_error_wins_over_a_later_arm_error(self, dataset_dir, tmp_path, capsys,
+                                                                monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        _fail_arms(monkeypatch, {("virtual_multimodal", 2): DivergenceError("virtual subject 2 failed"),
+                                 "real_multimodal": DataError("real failed")})
+        serial, forked = self.serial_and_forked(dataset_dir, tmp_path, capsys, monkeypatch)
+        assert serial == (3, "divergence: virtual subject 2 failed\n")
+        assert forked == serial
+
+    def test_the_main_share_error_wins_over_the_helper_share_error(self, dataset_dir, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        _fail_arms(monkeypatch, {("virtual_multimodal", 1): DataError("virtual subject 1 failed"),
+                                 ("virtual_multimodal", 2): DivergenceError("virtual subject 2 failed")})
+        serial, forked = self.serial_and_forked(dataset_dir, tmp_path, capsys, monkeypatch)
+        assert serial == (2, "data error: virtual subject 1 failed\n")
+        assert forked == serial
+
+    def test_a_helper_killed_in_its_virtual_share_names_the_virtual_arm(self, dataset_dir, tmp_path,
+                                                                         capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        parent = os.getpid()
+
+        def kill_helper(arm, subject):
+            if (arm, subject) == ("virtual_multimodal", 2):
+                assert os.getpid() != parent
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        on_subject_training(monkeypatch, kill_helper)
+        code, err = self.run(dataset_dir, tmp_path, capsys, "out", ALL_ARMS)
+        assert code == 2
+        assert err == ("data error: the arm helper process ended with exit status -9 "
+                       "(killed by signal 9) before reporting the virtual_multimodal arm\n")
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vimu import sigproc
+from vimu import pipeline, sigproc
 from vimu.data import (
     Dataset,
     SplitPlan,
@@ -48,6 +48,31 @@ def tiny_dataset(tmp_path_factory):
     cfg = SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11)
     synth_generate(cfg, root)
     return root
+
+
+@pytest.fixture(scope="module")
+def three_subject_dataset(tmp_path_factory):
+    """A tiny set with an odd number of recognition subjects, so the virtual arm splits 2 + 1."""
+    root = tmp_path_factory.mktemp("ds3")
+    synth_generate(SynthConfig(subjects=3, gestures=2, trials=4, trial_seconds=5.0, seed=11), root)
+    return root
+
+
+def on_subject_training(monkeypatch, hook):
+    """Call ``hook(arm, subject)`` before each per-subject classifier training of a seed-0 run.
+
+    The patch is on the module, so a forked helper inherits it.
+    """
+    role = {derive_seed(0, arm, "sgd", subject): (arm, subject)
+            for arm in pipeline.ARMS for subject in range(10)}
+    train = pipeline.train_classifier
+
+    def hooked(model, arrays, labels, cfg):
+        if cfg.seed in role:
+            hook(*role[cfg.seed])
+        return train(model, arrays, labels, cfg)
+
+    monkeypatch.setattr(pipeline, "train_classifier", hooked)
 
 
 def _classifier_files(out_dir):
@@ -354,24 +379,82 @@ class TestRunExperiment:
         for row in report.per_subject["unimodal"].values():
             assert 0.0 <= row["window_accuracy"] <= 1.0
 
-    def test_deterministic_report_and_outputs(self, tiny_dataset, tmp_path, monkeypatch):
-        # The first run trains its unimodal arm in a forked helper, the
-        # second, without os.fork, runs every arm in this process.
+    def forked_and_serial(self, dataset, tmp_path, monkeypatch, cfg_changes=lambda cfg: cfg,
+                          arms=("unimodal", "virtual_multimodal")):
+        """Run ``arms`` forked, then without os.fork; both reports and every written file must match.
+
+        OpenBLAS is declared one-threaded, so the forked run splits the virtual arm.
+        """
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        cfg1 = tiny_config(tiny_dataset, out1, arms=("unimodal", "virtual_multimodal"))
-        cfg2 = tiny_config(tiny_dataset, out2, arms=("unimodal", "virtual_multimodal"))
-        r1 = run_experiment(cfg1)
-        monkeypatch.delattr(os, "fork")
-        r2 = run_experiment(cfg2)
+        r1 = run_experiment(cfg_changes(tiny_config(dataset, out1, arms=arms)))
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            r2 = run_experiment(cfg_changes(tiny_config(dataset, out2, arms=arms)))
         assert r1.to_dict() == r2.to_dict()
         classifiers = _classifier_files(out1)
-        assert len(classifiers) == 2 * 2 * 2  # arms x subjects x files
         assert _classifier_files(out2) == classifiers
         for rel in ["report.json", "report.csv", "report.svg",
                     "gan/generator.ckpt", "gan/discriminator.ckpt", *classifiers]:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        return out1, classifiers
+
+    def test_deterministic_report_and_outputs(self, tiny_dataset, tmp_path, monkeypatch):
+        # The first run trains its unimodal arm and the second subject of the
+        # virtual arm in a forked helper, the second, without os.fork, runs
+        # every arm in this process.
+        out1, classifiers = self.forked_and_serial(tiny_dataset, tmp_path, monkeypatch)
+        assert len(classifiers) == 2 * 2 * 2  # arms x subjects x files
         critic_cfg, _ = load_discriminator(out1 / "gan")
         assert critic_cfg.semg_channels == 8
+
+    @pytest.mark.parametrize("pretrain", [False, True], ids=["per_subject", "pretrain"])
+    def test_forked_equals_serial_with_three_subjects(self, pretrain, three_subject_dataset, tmp_path,
+                                                      monkeypatch):
+        def with_pretrain(cfg):
+            cfg.classifier.pretrain = pretrain
+            return cfg
+
+        _, classifiers = self.forked_and_serial(three_subject_dataset, tmp_path, monkeypatch,
+                                                with_pretrain, arms=pipeline.ARMS)
+        assert len(classifiers) == 3 * 3 * 2  # arms x subjects x files
+
+    @pytest.mark.parametrize("blas_env,split", [
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, True),
+        ({}, False),
+    ], ids=["openblas_1", "omp_1", "openblas_2", "goto_1", "unset"])
+    def test_the_helper_trains_the_later_half_of_the_virtual_subjects(self, blas_env, split,
+                                                                     three_subject_dataset, tmp_path,
+                                                                     monkeypatch):
+        # Two pools of BLAS threads on the same cores cost more than the split
+        # gains, so the virtual arm stays whole unless OpenBLAS runs one thread.
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas_env.items():
+            monkeypatch.setenv(name, value)
+        log = tmp_path / "trained_by.txt"
+
+        def record(arm, subject):
+            with open(log, "a") as fh:
+                fh.write(f"{arm} {subject} {os.getpid()}\n")
+
+        on_subject_training(monkeypatch, record)
+        run_experiment(tiny_config(three_subject_dataset, tmp_path / "out", arms=pipeline.ARMS),
+                       write_outputs=False)
+        pid_of = {}
+        for line in log.read_text().splitlines():
+            arm, subject, pid = line.split()
+            pid_of[arm, int(subject)] = int(pid)
+        assert len(pid_of) == 9
+        here = os.getpid()
+        helper = pid_of["unimodal", 1]
+        assert helper != here
+        assert {pid_of[arm, s] for arm in ("unimodal", "real_multimodal") for s in (1, 2, 3)} == {helper}
+        assert [pid_of["virtual_multimodal", s] for s in (1, 2, 3)] == [here, here,
+                                                                        helper if split else here]
 
     def test_all_arms_report_deltas(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "out3",
