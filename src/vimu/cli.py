@@ -8,6 +8,8 @@ configured seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -30,105 +32,103 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_preproc_flags(p):
-    p.add_argument("--window-ms", type=float, default=200.0)
-    p.add_argument("--step-ms", type=float, default=10.0)
-    p.add_argument("--decimation", type=int, default=20)
-    p.add_argument("--rms-ms", type=float, default=100.0)
-    p.add_argument("--mavg-ms", type=float, default=100.0)
-    p.add_argument("--butter-cutoff-hz", type=float, default=1.0)
+def _given(args, cls) -> dict:
+    """The flags given on the command line that name a field of ``cls``, by field name."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if f.name in args}
 
 
-def _preproc_from_args(args) -> sigproc.PreprocSpec:
-    return sigproc.PreprocSpec(
-        window_ms=args.window_ms, step_ms=args.step_ms, decimation=args.decimation,
-        rms_ms=args.rms_ms, mavg_ms=args.mavg_ms, butter_cutoff_hz=args.butter_cutoff_hz,
-    )
+def int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(","))
+
+
+def str_list(text: str) -> tuple:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="vimu", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag with no default of its own is absent from the parsed arguments
+    # unless given, so the config field it sets keeps its class default.
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
+    p = command("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subjects", type=int, default=4)
-    p.add_argument("--gestures", type=int, default=4)
-    p.add_argument("--trials", type=int, default=4)
-    p.add_argument("--rate", type=float, default=200.0)
-    p.add_argument("--semg-channels", type=int, default=8)
-    p.add_argument("--imu-channels", type=int, default=3)
-    p.add_argument("--imu-kind", choices=("acc", "euler"), default="acc")
-    p.add_argument("--trial-seconds", type=float, default=6.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--subjects", type=int)
+    p.add_argument("--gestures", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--rate", type=float, dest="sample_rate_hz")
+    p.add_argument("--semg-channels", type=int)
+    p.add_argument("--imu-channels", type=int)
+    p.add_argument("--imu-kind", choices=("acc", "euler"))
+    p.add_argument("--trial-seconds", type=float)
 
-    p = sub.add_parser("preprocess", help="extract windows through both chains")
+    p = command("preprocess", help="extract windows through both chains")
     p.add_argument("--dataset", required=True)
     p.add_argument("--profile", default="synthetic")
     p.add_argument("--out", required=True, help="output .npz window table")
-    _add_preproc_flags(p)
+    p.add_argument("--window-ms", type=float)
+    p.add_argument("--step-ms", type=float)
+    p.add_argument("--decimation", type=int)
+    p.add_argument("--rms-ms", type=float)
+    p.add_argument("--mavg-ms", type=float)
+    p.add_argument("--butter-cutoff-hz", type=float)
 
-    p = sub.add_parser("train-gan", help="train the virtual-motion generator")
+    p = command("train-gan", help="train the virtual-motion generator")
     p.add_argument("--windows", required=True, help="window table from preprocess")
     p.add_argument("--out", required=True, help="output bundle directory")
-    p.add_argument("--epochs", type=int, default=10000)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=2e-4)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--loss-variant", choices=("nonsaturating", "minimax"), default="nonsaturating")
-    p.add_argument("--max-pairs", type=int, default=None)
-    p.add_argument("--generator-maps", default="32,16,1")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--max-pairs", type=int)
+    p.add_argument("--generator-maps", type=int_list)
     p.add_argument("--snapshot-every", type=int,
                    help="keep a generator snapshot every N epochs and return the best")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("generate-imu", help="synthesize virtual motion windows")
+    p = command("generate-imu", help="synthesize virtual motion windows")
     p.add_argument("--generator", required=True, help="bundle directory from train-gan")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True, help="output .npz with a virtual_imu array")
 
-    p = sub.add_parser("train-clf", help="train a recognition model")
+    p = command("train-clf", help="train a recognition model")
     p.add_argument("--windows", required=True)
     p.add_argument("--virtual", default=None, help="optional virtual windows .npz")
     p.add_argument("--stream", choices=("semg", "semg+imu", "semg+virtual"), default="semg")
     p.add_argument("--out", required=True, help="output bundle directory")
-    p.add_argument("--epochs", type=int, default=28)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--conv-maps", type=int, default=64)
-    p.add_argument("--lc-maps", type=int, default=64)
-    p.add_argument("--dense-units", type=int, default=512)
-    p.add_argument("--fusion-hidden", type=int, default=512)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--conv-maps", type=int)
+    p.add_argument("--lc-maps", type=int)
+    p.add_argument("--dense-units", type=int)
+    p.add_argument("--fusion-hidden", type=int)
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("evaluate", help="predict windows and emit a CSV")
+    p = command("evaluate", help="predict windows and emit a CSV")
     p.add_argument("--model", required=True, help="bundle directory from train-clf")
     p.add_argument("--windows", required=True)
     p.add_argument("--virtual", default=None)
     p.add_argument("--out", required=True, help="output predictions CSV")
 
-    p = sub.add_parser("run", help="full pipeline from a JSON config")
+    p = command("run", help="full pipeline from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--dataset", default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--arms", default=None, help="comma-separated arm list")
-    p.add_argument("--experiment", choices=("exp1", "exp2"), default=None)
+    p.add_argument("--dataset")
+    p.add_argument("--out", dest="out_dir")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--arms", type=str_list, help="comma-separated arm list")
+    p.add_argument("--experiment", choices=("exp1", "exp2"))
 
-    p = sub.add_parser("report", help="re-emit formats from a report JSON")
+    p = command("report", help="re-emit formats from a report JSON")
     p.add_argument("--report", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--formats", default="json,csv,svg")
+    p.add_argument("--formats", type=str_list)
     return parser
 
 
 def _cmd_synth(args) -> int:
-    cfg = vdata.SynthConfig(
-        subjects=args.subjects, gestures=args.gestures, trials=args.trials,
-        sample_rate_hz=args.rate, semg_channels=args.semg_channels,
-        imu_channels=args.imu_channels, imu_kind=args.imu_kind,
-        trial_seconds=args.trial_seconds, seed=args.seed,
-    )
-    manifest = vdata.synth_generate(cfg, args.out)
+    manifest = vdata.synth_generate(vdata.SynthConfig(**_given(args, vdata.SynthConfig)), args.out)
     print(f"wrote {len(manifest.index)} trials to {args.out}")
     return 0
 
@@ -136,7 +136,8 @@ def _cmd_synth(args) -> int:
 def _cmd_preprocess(args) -> int:
     dataset = vdata.Dataset(args.dataset)
     profile = vdata.resolve_profile(args.profile, dataset.manifest)
-    table = pipeline.extract_windows(dataset, profile, _preproc_from_args(args))
+    spec = sigproc.PreprocSpec(**_given(args, sigproc.PreprocSpec))
+    table = pipeline.extract_windows(dataset, profile, spec)
     pipeline.save_window_table(args.out, table)
     print(f"wrote {len(table)} windows to {args.out}")
     return 0
@@ -146,12 +147,7 @@ def _cmd_train_gan(args) -> int:
     table = pipeline.load_window_table(args.windows)
     if table.imu is None:
         raise DataError("generator training needs motion windows in the table")
-    cfg = gan.GanTrainConfig(
-        epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.learning_rate,
-        dropout=args.dropout, loss_variant=args.loss_variant, seed=args.seed,
-        max_pairs=args.max_pairs, generator_maps=tuple(int(v) for v in args.generator_maps.split(",")),
-        snapshot_every=args.snapshot_every,
-    )
+    cfg = gan.GanTrainConfig(**_given(args, gan.GanTrainConfig))
     bundle, _, _ = pipeline.train_generator_bundle(table.semg_gan, table.imu, cfg, args.out)
     print(f"trained generator on {bundle.extra['pairs']} pairs; bundle in {args.out}")
     return 0
@@ -181,14 +177,15 @@ def _cmd_train_clf(args) -> int:
     normalized, stats = pipeline.zscore_streams(
         pipeline.arm_streams(arm, table, _load_virtual(args.virtual)))
     classes = int(table.labels.max()) + 1
-    spec = pipeline.ClassifierSpec(conv_maps=args.conv_maps, lc_maps=args.lc_maps,
-                                   dense_units=args.dense_units, fusion_hidden=args.fusion_hidden)
-    model = spec.model(normalized, classes, args.seed)
-    decay = tuple(d for d in fusion.ClfTrainConfig.decay_epochs if d < args.epochs)
-    cfg = fusion.ClfTrainConfig(batch_size=args.batch_size, epochs=args.epochs,
-                                decay_epochs=decay, seed=args.seed)
+    given = _given(args, fusion.ClfTrainConfig)
+    # a shortened schedule keeps only the decay epochs before its end
+    epochs = given.get("epochs", fusion.ClfTrainConfig.epochs)
+    cfg = fusion.ClfTrainConfig(
+        **given, decay_epochs=tuple(d for d in fusion.ClfTrainConfig.decay_epochs if d < epochs))
+    spec = pipeline.ClassifierSpec(**_given(args, pipeline.ClassifierSpec))
+    model = spec.model(normalized, classes, cfg.seed)
     _, history = fusion.train_classifier(model, list(normalized.values()), table.labels, cfg)
-    fusion.save_classifier_bundle(args.out, model, stats, args.seed, extra={
+    fusion.save_classifier_bundle(args.out, model, stats, cfg.seed, extra={
         "arm": arm, "train_accuracy": history["accuracy"][-1] if history["accuracy"] else None})
     print(f"trained classifier ({len(normalized)} stream(s), {classes} classes); bundle in {args.out}")
     return 0
@@ -221,16 +218,7 @@ def _cmd_run(args) -> int:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{args.config} must hold a JSON object, got {type(raw).__name__}")
-    if args.dataset is not None:
-        raw["dataset"] = args.dataset
-    if args.out is not None:
-        raw["out_dir"] = args.out
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.arms is not None:
-        raw["arms"] = [a.strip() for a in args.arms.split(",") if a.strip()]
-    if args.experiment is not None:
-        raw["experiment"] = args.experiment
+    raw.update(_given(args, pipeline.ExperimentConfig))
     if "VIMU_SEED" in os.environ:
         raw["seed"] = int(os.environ["VIMU_SEED"])
     cfg = pipeline.ExperimentConfig.from_dict(raw)
@@ -243,8 +231,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     report = read_json(args.report, pipeline.MetricsReport)
-    formats = tuple(f.strip() for f in args.formats.split(",") if f.strip())
-    written = pipeline.emit_report(report, args.out, formats)
+    formats = {"formats": args.formats} if "formats" in args else {}
+    written = pipeline.emit_report(report, args.out, **formats)
     print("wrote " + ", ".join(str(p) for p in written))
     return 0
 

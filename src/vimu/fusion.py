@@ -167,13 +167,11 @@ def build_model(stream_cfgs: dict, fusion_cfg: FusionConfig, seed: int) -> Fusio
 
 @dataclass
 class ClfTrainConfig(DictCodec):
-    """Step-decayed SGD schedule for the recognition models."""
+    """Step-decayed SGD schedule for the recognition models, at ``SgdState``'s rates."""
 
     batch_size: int = 64
     epochs: int = 28
-    initial_lr: float = 0.1
     decay_epochs: tuple[int, ...] = (16, 24)
-    lr_divisor: float = 10.0
     pretrain: bool = False
     seed: int = 0
 
@@ -207,7 +205,7 @@ def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainCon
     s_shuffle, s_dropout = np.random.SeedSequence(cfg.seed).spawn(2)
     shuffle_rng = np.random.default_rng(s_shuffle)
     dropout_rng = np.random.default_rng(s_dropout)
-    sgd = SgdState(cfg.initial_lr, tuple(cfg.decay_epochs), cfg.lr_divisor)
+    sgd = SgdState(decay_epochs=tuple(cfg.decay_epochs))
     history = {"loss": [], "accuracy": [], "lr": []}
 
     for epoch in range(cfg.epochs):

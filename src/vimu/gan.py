@@ -32,7 +32,7 @@ from .nn.layers import (
     seed_of,
     stack_output_shape,
 )
-from .nn.losses import CLAMP_EPS, bce_loss, generator_adversarial_loss
+from .nn.losses import CLAMP_EPS, bce_loss
 from .nn.optim import AdamState, adam_step
 from .nn.tensor import Tensor, add, concat, no_grad, reshape
 from .sigproc import ChannelStats, apply_norm, invert_norm
@@ -244,10 +244,7 @@ class GanTrainConfig(DictCodec):
     epochs: int = 10000
     batch_size: int = 64
     learning_rate: float = 2e-4
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.999
     dropout: float = 0.2
-    loss_variant: str = "nonsaturating"
     seed: int = 0
     max_pairs: int | None = None
     generator_maps: tuple[int, ...] = (32, 16, 1)
@@ -259,8 +256,6 @@ class GanTrainConfig(DictCodec):
             raise ConfigError("batch size must be >= 2 (batchnorm needs batch statistics)")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.loss_variant not in ("nonsaturating", "minimax"):
-            raise ConfigError(f"unknown generator loss variant {self.loss_variant!r}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ConfigError("snapshot_every must be >= 1 when set")
 
@@ -273,11 +268,11 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     window, real or generated, beside the muscle window of its pair. Per
     batch it maximizes the adversarial value via cross-entropy on real
     (label 1) and generated (label 0) pairs, then the generator takes one
-    step on its own adversarial loss. A step of one network never touches
-    the other's parameters or running statistics. Both geometries follow
-    from the window pairs and ``cfg``. Returns (generator params,
-    discriminator params, history); ``history["discriminator"]`` records the
-    critic's config, which rebuilds the returned critic.
+    step on the non-saturating loss -mean log D(fake). A step of one
+    network never touches the other's parameters or running statistics.
+    Both geometries follow from the window pairs and ``cfg``. Returns (generator
+    params, discriminator params, history); ``history["discriminator"]``
+    records the critic's config, which rebuilds the returned critic.
     """
     semg = np.asarray(semg_windows, dtype=np.float32)
     imu = np.asarray(imu_windows, dtype=np.float32)
@@ -303,8 +298,8 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     if n < cfg.batch_size:
         raise DataError(f"{n} training pairs but batch size {cfg.batch_size}")
 
-    adam_g = AdamState(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
-    adam_d = AdamState(cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2)
+    adam_g = AdamState(cfg.learning_rate)
+    adam_d = AdamState(cfg.learning_rate)
     history = {"d_loss": [], "g_loss": [], "d_real": [], "d_fake": [], "value": [],
                "discriminator": disc_cfg.to_dict()}
     snapshots = []
@@ -341,7 +336,7 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
                 d_on_fake = discriminator_forward(disc_cfg, disc, fake, mode="train",
                                                   rng=dropout_rng, update_stats=False,
                                                   semg_windows=cond)
-                g_loss = generator_adversarial_loss(d_on_fake, cfg.loss_variant)
+                g_loss = bce_loss(d_on_fake, np.ones_like(d_on_fake.data))
                 backprop(g_loss, gen)
             adam_step(adam_g, gen)
 

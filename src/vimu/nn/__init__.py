@@ -10,7 +10,7 @@ from .layers import (
     run_stack,
     stack_output_shape,
 )
-from .losses import bce_loss, cross_entropy_loss, generator_adversarial_loss
+from .losses import bce_loss, cross_entropy_loss
 from .optim import AdamState, SgdState, adam_step, sgd_step
 from .gradcheck import GradCheckReport, finite_difference_check, grad_check
 from .checkpoint import load_tensors, save_tensors
@@ -27,7 +27,6 @@ __all__ = [
     "stack_output_shape",
     "bce_loss",
     "cross_entropy_loss",
-    "generator_adversarial_loss",
     "AdamState",
     "SgdState",
     "adam_step",

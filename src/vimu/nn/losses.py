@@ -57,24 +57,3 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 
     return Tensor(np.asarray(val, dtype=probs.data.dtype), parents=(probs,), backward_fn=bwd)
 
-
-def generator_adversarial_loss(d_fake: Tensor, variant: str = "nonsaturating") -> Tensor:
-    """Loss minimized by the generator given discriminator outputs on fakes.
-
-    "nonsaturating": -mean log D(fake)  (push fakes toward the real label).
-    "minimax": mean log(1 - D(fake))    (the literal saturating form).
-    """
-    if variant == "nonsaturating":
-        return bce_loss(d_fake, np.ones_like(d_fake.data))
-    if variant != "minimax":
-        raise ValueError(f"unknown generator loss variant {variant!r}")
-    p = d_fake.data
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    val = np.log1p(-pc).mean()
-
-    def bwd(g):
-        inside = (p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS)
-        dp = np.where(inside, -1.0 / (1.0 - pc), 0.0)
-        _accum(d_fake, (dp * (float(g) / p.size)).astype(p.dtype))
-
-    return Tensor(np.asarray(val, dtype=p.dtype), parents=(d_fake,), backward_fn=bwd)

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import sigproc
 from .codec import DictCodec, write_json
-from .data import Dataset, DatabaseProfile, SplitPlan, make_split, resolve_profile
+from .data import Dataset, DatabaseProfile, DatasetManifest, SplitPlan, make_split, resolve_profile
 from .errors import ConfigError, DataError, FormatError, LeakageError
 # build_unimodal/build_multimodal go unused here; perfbench's tracer wraps them on this module.
 from .fusion import (
@@ -102,7 +102,6 @@ class ExperimentConfig(DictCodec):
     gan: GanTrainConfig = field(default_factory=GanTrainConfig)
     classifier: ClfTrainConfig = field(default_factory=ClfTrainConfig)
     network: ClassifierSpec = field(default_factory=ClassifierSpec)
-    report_formats: tuple[str, ...] = ("json", "csv", "svg")
 
     def __post_init__(self):
         if not self.arms:
@@ -113,10 +112,12 @@ class ExperimentConfig(DictCodec):
         if self.experiment not in ("exp1", "exp2"):
             raise ConfigError(f"unknown experiment {self.experiment!r}")
 
-    def fingerprint(self) -> str:
-        # Output location does not define the experiment.
+    def fingerprint(self, manifest: DatasetManifest) -> str:
+        # Neither where the dataset lies nor where outputs go defines the
+        # experiment; the dataset's manifest does.
         d = self.to_dict()
         d.pop("out_dir")
+        d["dataset"] = manifest.to_dict()
         blob = json.dumps(d, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
@@ -134,8 +135,6 @@ def desk_config(dataset: str, out_dir: str = "out", seed: int = 0,
     return ExperimentConfig(
         dataset=dataset,
         out_dir=out_dir,
-        profile="synthetic",
-        experiment="exp2",
         arms=tuple(arms),
         seed=seed,
         preproc=PreprocSpec(window_ms=200.0, step_ms=100.0, decimation=4),
@@ -381,20 +380,13 @@ def compute_accuracy(predictions, labels) -> float:
     return float(np.mean(p == y))
 
 
-def trial_majority_accuracy(predictions, labels, gestures, trials) -> float:
-    """Majority vote over each recorded trial; ties go to the lowest class."""
-    p = np.asarray(predictions)
-    y = np.asarray(labels)
-    keys = list(zip(np.asarray(gestures).tolist(), np.asarray(trials).tolist()))
+def trial_majority_accuracy(predictions, labels, trials) -> float:
+    """Majority vote over each recorded (gesture label, trial); ties go to the lowest class."""
     votes = {}
-    truth = {}
-    for key, pred, lab in zip(keys, p.tolist(), y.tolist()):
-        votes.setdefault(key, []).append(pred)
-        truth[key] = lab
-    correct = 0
-    for key, preds in votes.items():
-        counts = np.bincount(preds)
-        correct += int(counts.argmax() == truth[key])
+    for label, trial, pred in zip(np.asarray(labels).tolist(), np.asarray(trials).tolist(),
+                                  np.asarray(predictions).tolist()):
+        votes.setdefault((label, trial), []).append(pred)
+    correct = sum(int(np.bincount(preds).argmax() == label) for (label, _), preds in votes.items())
     return correct / len(votes)
 
 
@@ -714,9 +706,8 @@ def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTa
         preds, _ = predict(model, [a[s_test] for a in arrays])
         arm_rows[str(subject)] = {
             "window_accuracy": compute_accuracy(preds, table.labels[s_test]),
-            "trial_majority_accuracy": trial_majority_accuracy(
-                preds, table.labels[s_test], table.labels[s_test], table.trials[s_test]
-            ),
+            "trial_majority_accuracy": trial_majority_accuracy(preds, table.labels[s_test],
+                                                               table.trials[s_test]),
         }
         if classifiers_dir is not None:
             save_classifier_bundle(
@@ -804,12 +795,12 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
         per_subject=per_subject,
         arm_summary=summary,
         deltas=_deltas(summary),
-        config_fingerprint=cfg.fingerprint(),
+        config_fingerprint=cfg.fingerprint(dataset.manifest),
         seed=cfg.seed,
         dataset=dataset.manifest.name,
         profile=profile.name,
         experiment=cfg.experiment,
     )
     if write_outputs:
-        emit_report(report, out_dir, cfg.report_formats)
+        emit_report(report, out_dir)
     return report

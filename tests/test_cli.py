@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from test_pipeline import on_subject_training, tiny_config
 
-from vimu import pipeline
+from vimu import data as vdata
+from vimu import fusion, pipeline
 from vimu.cli import main
 from vimu.data import (
     Dataset,
@@ -20,14 +21,17 @@ from vimu.data import (
     write_trial,
 )
 from vimu.errors import DataError, DivergenceError
-from vimu.gan import load_discriminator
+from vimu.fusion import ClfTrainConfig
+from vimu.gan import GanTrainConfig, load_discriminator
 from vimu.pipeline import (
+    ClassifierSpec,
     derive_seed,
     extract_windows,
     load_window_table,
     run_experiment,
     save_window_table,
 )
+from vimu.sigproc import PreprocSpec
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +229,57 @@ class TestRun:
         assert main(["report", "--report", str(out / "report.json"), "--out", str(out2),
                      "--formats", "csv,svg"]) == 0
         assert (out2 / "report.csv").exists() and (out2 / "report.svg").exists()
+
+
+class _Stop(Exception):
+    pass
+
+
+class TestFlagsDefaultToTheConfigClasses:
+    """A staged command given only its required flags passes on its config classes' defaults."""
+
+    def passed_on(self, monkeypatch, owner, name, argv) -> tuple:
+        """The arguments ``main(argv)`` calls ``owner.name`` with; the call stops the command."""
+        calls = []
+
+        def stop(*args):
+            calls.append(args)
+            raise _Stop
+
+        monkeypatch.setattr(owner, name, stop)
+        with pytest.raises(_Stop):
+            main(argv)
+        (args,) = calls
+        return args
+
+    def test_synth(self, tmp_path, monkeypatch):
+        cfg, _ = self.passed_on(monkeypatch, vdata, "synth_generate", ["synth", "--out", str(tmp_path)])
+        assert cfg == SynthConfig()
+
+    def test_preprocess(self, dataset_dir, tmp_path, monkeypatch):
+        _, _, spec = self.passed_on(monkeypatch, pipeline, "extract_windows", [
+            "preprocess", "--dataset", str(dataset_dir), "--out", str(tmp_path / "w.npz")])
+        assert spec == PreprocSpec()
+
+    def test_train_gan(self, windows_file, tmp_path, monkeypatch):
+        _, _, cfg, _ = self.passed_on(monkeypatch, pipeline, "train_generator_bundle", [
+            "train-gan", "--windows", str(windows_file), "--out", str(tmp_path / "gan")])
+        assert cfg == GanTrainConfig()
+
+    def test_train_clf(self, windows_file, tmp_path, monkeypatch):
+        specs = []
+        monkeypatch.setattr(ClassifierSpec, "model", lambda spec, *args: specs.append(spec))
+        _, _, _, cfg = self.passed_on(monkeypatch, fusion, "train_classifier", [
+            "train-clf", "--windows", str(windows_file), "--out", str(tmp_path / "clf")])
+        assert specs == [ClassifierSpec()]
+        assert cfg == ClfTrainConfig()
+
+    def test_report_writes_every_format(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(REPORT))
+        assert main(["report", "--report", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "report.csv", "report.json", "report.svg"]
 
 
 ALL_ARMS = "unimodal,virtual_multimodal,real_multimodal"
@@ -449,6 +504,16 @@ BAD_INPUTS = {
     "max_pairs a float": ("config", _section("gan", max_pairs=1.5), 1, "max_pairs"),
     "network not an object": ("config", lambda cfg: {**cfg, "network": [2, 2]}, 1, "ClassifierSpec"),
     "arms not a list": ("config", lambda cfg: {**cfg, "arms": "unimodal"}, 1, "arms"),
+    # keys that earlier versions accepted and no longer exist
+    "gan loss_variant": ("config", _section("gan", loss_variant="minimax"), 1, "loss_variant"),
+    "gan adam_beta1": ("config", _section("gan", adam_beta1=0.5), 1, "adam_beta1"),
+    "classifier initial_lr": ("config", _section("classifier", initial_lr=0.1), 1, "initial_lr"),
+    "classifier lr_divisor": ("config", _section("classifier", lr_divisor=10.0), 1, "lr_divisor"),
+    "report_formats": ("config", lambda cfg: {**cfg, "report_formats": ["json"]}, 1, "report_formats"),
+    "train-gan --loss-variant": ("windows", lambda tmp, windows: [
+        "train-gan", "--windows", str(windows), "--out", str(tmp / "out"), "--epochs", "1",
+        "--batch-size", "8", "--max-pairs", "16", "--loss-variant", "minimax"], 1,
+        "unrecognized arguments: --loss-variant minimax"),
     "top-level array": ("config", lambda cfg: [cfg], 1, "JSON object"),
     "generator sidecar lacks imu_stats": ("generator.json", _without("imu_stats"), 2, "imu_stats"),
     "generator sidecar lacks generator": ("generator.json", _without("generator"), 2, "generator"),
@@ -603,7 +668,7 @@ def test_train_gan_shares_run_generator_path(tmp_path):
             "train-gan", "--windows", str(tmp_path / "cohort.npz"), "--out", str(tmp_path / name),
             "--epochs", str(g.epochs), "--batch-size", str(g.batch_size),
             "--learning-rate", repr(g.learning_rate), "--dropout", repr(g.dropout),
-            "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
+            "--max-pairs", str(g.max_pairs),
             "--generator-maps", ",".join(map(str, g.generator_maps)),
             "--seed", str(derive_seed(base.seed, "gan")),
         ]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vimu.nn import LayerSpec, ParamSet, Tensor, finite_difference_check, grad_check, init_stack_params
-from vimu.nn.losses import bce_loss, cross_entropy_loss, generator_adversarial_loss
+from vimu.nn.losses import bce_loss, cross_entropy_loss
 from vimu.nn import tensor as T
 
 
@@ -81,16 +81,16 @@ def test_cross_entropy_gradients():
     assert report.passed, report.max_rel_error
 
 
-def test_generator_loss_gradients_both_variants():
+def test_nonsaturating_generator_loss_gradients():
+    # the generator's loss: cross-entropy of its critic scores against the real label
     rng = np.random.default_rng(9)
-    for variant in ("nonsaturating", "minimax"):
-        logits = Tensor(rng.standard_normal((6, 1)), requires_grad=True)
+    logits = Tensor(rng.standard_normal((6, 1)), requires_grad=True)
 
-        def make_loss():
-            return generator_adversarial_loss(T.sigmoid_act(logits), variant)
+    def make_loss():
+        return bce_loss(T.sigmoid_act(logits), np.ones((6, 1)))
 
-        report = finite_difference_check(make_loss, {"logits": logits})
-        assert report.passed, (variant, report.max_rel_error)
+    report = finite_difference_check(make_loss, {"logits": logits})
+    assert report.passed, report.max_rel_error
 
 
 def test_concat_input_gradients():

@@ -9,10 +9,12 @@ import pytest
 
 from vimu import pipeline, sigproc
 from vimu.data import (
+    PROFILES,
     Dataset,
     SplitPlan,
     SynthConfig,
     make_split,
+    manifest_for_profile,
     read_trial,
     synth_generate,
     synthetic_profile,
@@ -127,9 +129,8 @@ class TestMetrics:
     def test_trial_majority(self):
         preds = [0, 0, 1, 1, 1, 1]
         labels = [0, 0, 0, 1, 1, 1]
-        gestures = [0, 0, 0, 1, 1, 1]
         trials = [1, 1, 1, 1, 1, 1]
-        assert trial_majority_accuracy(preds, labels, gestures, trials) == 1.0
+        assert trial_majority_accuracy(preds, labels, trials) == 1.0
 
 
 class TestLeakageGuard:
@@ -340,7 +341,8 @@ class TestConfig:
         cfg = tiny_config(tiny_dataset, tmp_path)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
-        assert again.fingerprint() == cfg.fingerprint()
+        manifest = Dataset(tiny_dataset).manifest
+        assert again.fingerprint(manifest) == cfg.fingerprint(manifest)
 
     def test_desk_config_survives_json(self):
         # The fingerprint pins the serialized form: a codec change that moved
@@ -348,8 +350,8 @@ class TestConfig:
         cfg = desk_config("data", seed=3)
         again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
         assert again == cfg
-        assert again.fingerprint() == (
-            "411b56ec9801d9407106bb03cfc9ff7b268aac22696b8932484b8da67d3a6b90"
+        assert again.fingerprint(manifest_for_profile(PROFILES["femg_vpf"])) == (
+            "4214c7d2044ee19e5ddb4e68e2f2f6ee3c0017a88bb6960a1d62d807275e95b0"
         )
 
     def test_unknown_key_rejected(self):
@@ -378,6 +380,15 @@ class TestRunExperiment:
         assert sorted(report.per_subject["unimodal"]) == ["1", "2"]
         for row in report.per_subject["unimodal"].values():
             assert 0.0 <= row["window_accuracy"] <= 1.0
+
+    def test_report_does_not_depend_on_where_the_run_starts(self, tiny_dataset, tmp_path, monkeypatch):
+        # The same config, naming the dataset relative to the working
+        # directory and by its absolute path, writes the same report bytes.
+        monkeypatch.chdir(tiny_dataset.parent)
+        for name, dataset in (("relative", tiny_dataset.name), ("absolute", str(tiny_dataset))):
+            run_experiment(tiny_config(dataset, tmp_path / name))
+        report = (tmp_path / "relative" / "report.json").read_bytes()
+        assert report == (tmp_path / "absolute" / "report.json").read_bytes()
 
     def forked_and_serial(self, dataset, tmp_path, monkeypatch, cfg_changes=lambda cfg: cfg,
                           arms=("unimodal", "virtual_multimodal")):

@@ -12,10 +12,8 @@ then writes a JSON object mapping `<run>/<path inside out_dir>`,
 `staged/<path>` (the window table, the generator bundle, the virtual
 motion, both classifier bundles, both predictions CSVs and the re-emitted
 report) and `<dataset>/<file>` (`manifest.json`,
-`synth_config.json` and every `.gst` trial) to the file's sha256. Every
-path the runs see is relative to the work directory, so the configs, and
-with them each report's `config_fingerprint`, do not depend on where it is. Comparing two
-such tables shows whether a change moved any output byte.
+`synth_config.json` and every `.gst` trial) to the file's sha256. Comparing
+two such tables shows whether a change moved any output byte.
 
     PYTHONPATH=src python tools/output_digests.py --work digests_work --out digests.json
 
@@ -80,7 +78,7 @@ def staged_commands(tiny: ExperimentConfig) -> list:
          "--out", "staged/predictions.csv"],
         ["train-gan", "--windows", windows, "--out", "staged/generator", "--epochs", str(g.epochs),
          "--batch-size", str(g.batch_size), "--learning-rate", str(g.learning_rate),
-         "--dropout", str(g.dropout), "--loss-variant", g.loss_variant, "--max-pairs", str(g.max_pairs),
+         "--dropout", str(g.dropout), "--max-pairs", str(g.max_pairs),
          "--generator-maps", ",".join(map(str, g.generator_maps)), "--seed", str(tiny.seed)],
         ["generate-imu", "--generator", "staged/generator", "--windows", windows, "--out", virtual],
         [*train_clf, "--stream", "semg+virtual", "--virtual", virtual, "--out", "staged/virtual_classifier"],
