@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,9 +75,9 @@ def write_trial(path, record: TrialRecord):
     body += np.ascontiguousarray(record.semg.data, dtype="<f4").tobytes()
     if record.imu is not None:
         body += np.ascontiguousarray(record.imu.data, dtype="<f4").tobytes()
-    body += struct.pack("<I", zlib.crc32(bytes(body)))
+    body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
-        fh.write(bytes(body))
+        fh.write(body)
 
 
 def read_trial(path, sample_rate_hz: float, gesture_id: int = 0, subject_id: int = 0,
@@ -619,18 +620,14 @@ def synth_envelope(cfg: SynthConfig, gesture: int, subject: int, trial: int) -> 
     return env
 
 
-def synth_trial_arrays(cfg: SynthConfig, subject: int, gesture: int, trial: int):
-    """Raw muscle/motion arrays plus the latent envelope for one trial.
+def _subject_gain(cfg: SynthConfig, subject: int) -> float:
+    return 1.0 + cfg.subject_gain_jitter * _synth_rng(cfg, 2, subject).standard_normal()
 
-    The muscle observation of the activation pattern wobbles per trial
-    (electrode-shift-like nonstationarity); the motion channels derive from
-    the stable latent pattern, so they generalize across trials better than
-    the muscle signal alone.
-    """
-    patterns, mixing, offsets = synth_latents(cfg)
+
+def _trial_arrays(cfg: SynthConfig, latents, gain: float, subject: int, gesture: int, trial: int):
+    """One trial's arrays from the dataset's latents and the subject's gain."""
+    patterns, mixing, offsets = latents
     env = synth_envelope(cfg, gesture, subject, trial)
-    gain_rng = _synth_rng(cfg, 2, subject)
-    gain = 1.0 + cfg.subject_gain_jitter * gain_rng.standard_normal()
     rng = _synth_rng(cfg, 3, subject, gesture, trial)
     observed = patterns[gesture] * (
         1.0 + cfg.semg_pattern_jitter * rng.standard_normal(cfg.semg_channels)
@@ -644,25 +641,92 @@ def synth_trial_arrays(cfg: SynthConfig, subject: int, gesture: int, trial: int)
     return semg, imu, env
 
 
+def synth_trial_arrays(cfg: SynthConfig, subject: int, gesture: int, trial: int):
+    """Raw muscle/motion arrays plus the latent envelope for one trial.
+
+    The muscle observation of the activation pattern wobbles per trial
+    (electrode-shift-like nonstationarity); the motion channels derive from
+    the stable latent pattern, so they generalize across trials better than
+    the muscle signal alone.
+    """
+    return _trial_arrays(cfg, synth_latents(cfg), _subject_gain(cfg, subject),
+                         subject, gesture, trial)
+
+
+def _synth_workers(trials: int) -> int:
+    """Threads for writing ``trials`` trials: one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, trials)
+
+
+def _synth_trial_name(subject: int, gesture: int, trial: int) -> str:
+    return f"s{subject:02d}_g{gesture:02d}_t{trial:02d}.gst"
+
+
+def _write_synth_trials(cfg: SynthConfig, out_dir: Path, keys: list):
+    """Write the trial file of every (subject, gesture, trial) in ``keys``, on every CPU.
+
+    Each thread takes every ``workers``-th key. The arrays come from
+    numpy's random fills and ufuncs, and the bytes are checksummed and
+    written, all outside the interpreter lock, so the threads run side by
+    side; a file's bytes depend on its key alone. All threads have ended on
+    return. If trials failed, the error of the first failing key is raised,
+    the one a loop over ``keys`` in order would raise.
+    """
+    latents = synth_latents(cfg)
+    gains = {s: _subject_gain(cfg, s) for s in range(1, cfg.subjects + 1)}
+    workers = _synth_workers(len(keys))
+    first_error, error = len(keys), None  # the first failing key so far, and its error
+    lock = threading.Lock()
+
+    def work(share: int):
+        nonlocal first_error, error
+        for i in range(share, len(keys), workers):
+            if i > first_error:
+                return
+            subject, gesture, trial = keys[i]
+            try:
+                semg, imu, _ = _trial_arrays(cfg, latents, gains[subject], subject, gesture, trial)
+                write_trial(out_dir / _synth_trial_name(subject, gesture, trial), TrialRecord(
+                    semg=MultichannelSeries(semg, cfg.sample_rate_hz, "semg"),
+                    imu=MultichannelSeries(imu, cfg.sample_rate_hz, cfg.imu_kind),
+                    gesture_id=gesture,
+                    subject_id=subject,
+                    trial_id=trial,
+                ))
+            except Exception as exc:  # carried to the caller's thread, raised below
+                with lock:
+                    if i < first_error:
+                        first_error, error = i, exc
+                return
+
+    threads = [threading.Thread(target=work, args=(share,), name=f"vimu-synth-{share}")
+               for share in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    if error is not None:
+        raise error
+
+
 def synth_generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
-    """Write a full synthetic dataset (trial files plus manifest) to disk."""
+    """Write a full synthetic dataset (trial files plus manifest) to disk.
+
+    Trials are written on every CPU the process may run on; the bytes
+    written do not depend on how many.
+    """
     out_dir = Path(out_dir)
+    keys = [(subject, gesture, trial) for subject in range(1, cfg.subjects + 1)
+            for gesture in range(cfg.gestures) for trial in range(1, cfg.trials + 1)]
     with dataset_write_lock(out_dir):
-        index = []
-        for subject in range(1, cfg.subjects + 1):
-            for gesture in range(cfg.gestures):
-                for trial in range(1, cfg.trials + 1):
-                    semg, imu, _ = synth_trial_arrays(cfg, subject, gesture, trial)
-                    rec = TrialRecord(
-                        semg=MultichannelSeries(semg, cfg.sample_rate_hz, "semg"),
-                        imu=MultichannelSeries(imu, cfg.sample_rate_hz, cfg.imu_kind),
-                        gesture_id=gesture,
-                        subject_id=subject,
-                        trial_id=trial,
-                    )
-                    rel = f"s{subject:02d}_g{gesture:02d}_t{trial:02d}.gst"
-                    write_trial(out_dir / rel, rec)
-                    index.append(ManifestEntry(subject, gesture, trial, rel))
+        _write_synth_trials(cfg, out_dir, keys)
         manifest = DatasetManifest(
             name="synthetic",
             subjects=tuple(range(1, cfg.subjects + 1)),
@@ -672,7 +736,7 @@ def synth_generate(cfg: SynthConfig, out_dir) -> DatasetManifest:
             semg_channels=cfg.semg_channels,
             imu_channels=cfg.imu_channels,
             imu_kind=cfg.imu_kind,
-            index=tuple(index),
+            index=tuple(ManifestEntry(*key, _synth_trial_name(*key)) for key in keys),
         )
         write_json(out_dir / "manifest.json", manifest.to_dict())
         write_json(out_dir / "synth_config.json", cfg.to_dict())

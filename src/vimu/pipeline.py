@@ -90,7 +90,14 @@ class ClassifierSpec(DictCodec):
 
 @dataclass
 class ExperimentConfig(DictCodec):
-    """Everything one ``run`` needs; serializable to a JSON document."""
+    """Everything one ``run`` needs; serializable to a JSON document.
+
+    ``run_experiment`` derives every seed it uses from ``seed``: the
+    generator's from ``derive_seed(seed, "gan")`` and each classifier's from
+    the arm and subject. It reads neither ``gan.seed`` nor
+    ``classifier.seed``; only the staged ``train-gan`` and ``train-clf``
+    do. Both still enter ``fingerprint``.
+    """
 
     dataset: str
     out_dir: str = "out"

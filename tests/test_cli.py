@@ -93,6 +93,17 @@ class TestSynthAndPreprocess:
         assert (dataset_dir / "manifest.json").exists()
         assert len(list(dataset_dir.glob("*.gst"))) == 2 * 2 * 4
 
+    def test_synth_onto_a_directory_is_a_data_error(self, tmp_path, capsys):
+        blocked = tmp_path / "ds" / "s01_g00_t01.gst"
+        blocked.mkdir(parents=True)
+        code = main(["synth", "--out", str(tmp_path / "ds"), "--subjects", "2", "--gestures", "2",
+                     "--trials", "3", "--trial-seconds", "4"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(blocked) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ds" / "manifest.json").exists()
+
     def test_preprocess_emits_table(self, windows_file):
         table = load_window_table(windows_file)
         assert table.semg_hgr.shape[0] > 0

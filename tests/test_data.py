@@ -1,10 +1,14 @@
 import json
+import os
 import struct
+import threading
+import time
 import zlib
 
 import numpy as np
 import pytest
 
+from vimu import data as vdata
 from vimu.data import (
     CsvTrialMeta,
     Dataset,
@@ -299,6 +303,69 @@ class TestSynthetic:
             with pytest.raises(DataError, match="locked"):
                 with dataset_write_lock(tmp_path / "ds"):
                     pass
+
+
+# 2 x 2 x 2 = 8 trials: three writer threads take 3, 3 and 2 of them
+THREADED = SynthConfig(subjects=2, gestures=2, trials=2, trial_seconds=4.0, seed=4)
+
+
+def _cpus(monkeypatch, n):
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+class TestThreadedWriter:
+    def test_worker_count_does_not_change_a_byte(self, tmp_path, monkeypatch):
+        write = vdata.write_trial
+        files = {}
+        for workers in (1, 3):
+            writers = set()
+
+            def recording(path, record):
+                writers.add(threading.current_thread().name)
+                write(path, record)
+
+            _cpus(monkeypatch, workers)
+            monkeypatch.setattr(vdata, "write_trial", recording)
+            out = tmp_path / f"w{workers}"
+            synth_generate(THREADED, out)
+            assert len(writers) == workers
+            files[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(files[1]) == 8 + 2  # trials, manifest.json, synth_config.json
+        assert files[3] == files[1]
+        index = json.loads(files[3]["manifest.json"])["index"]
+        keys = [(e["subject"], e["gesture"], e["trial"]) for e in index]
+        assert keys == sorted(keys) and len(keys) == 8
+
+    @pytest.mark.parametrize("slow", ["s01_g00_t02.gst", "s01_g01_t01.gst"],
+                             ids=["first_key_fails_last", "first_key_fails_first"])
+    def test_first_failing_trial_wins_and_nothing_is_left_behind(self, slow, tmp_path, monkeypatch):
+        # Keys 1 and 2 (s01_g00_t02, s01_g01_t01) go to different threads and
+        # both fail; the one named ``slow`` fails a moment after the other.
+        write = vdata.write_trial
+        messages = {"s01_g00_t02.gst": "key 1 failed", "s01_g01_t01.gst": "key 2 failed"}
+
+        def failing(path, record):
+            if path.name in messages:
+                if path.name == slow:
+                    time.sleep(0.1)
+                raise DataError(messages[path.name])
+            write(path, record)
+
+        _cpus(monkeypatch, 3)
+        threads_before = threading.active_count()
+        out = tmp_path / "ds"
+        with monkeypatch.context() as m:
+            m.setattr(vdata, "write_trial", failing)
+            with pytest.raises(DataError, match="key 1 failed"):
+                synth_generate(THREADED, out)
+        assert threading.active_count() == threads_before
+        assert not (out / "manifest.json").exists()
+        # the lock is gone: a second writer into the same directory succeeds
+        manifest = synth_generate(THREADED, out)
+        assert len(manifest.index) == 8
+        Dataset(out).validate_files()
 
 
 class TestManifest:

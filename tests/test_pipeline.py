@@ -475,6 +475,19 @@ class TestRunExperiment:
         recomputed = report.arm_summary["virtual_multimodal"]["mean"] - report.arm_summary["unimodal"]["mean"]
         assert report.deltas["virtual_minus_unimodal"] == pytest.approx(recomputed, abs=1e-12)
 
+    def test_nested_seeds_do_not_steer_a_run(self, tiny_dataset, tmp_path):
+        # `run` derives the generator's seed and every classifier's seed
+        # (pretraining and per subject) from the run seed; only the staged
+        # train-gan and train-clf read gan.seed and classifier.seed. A change
+        # that makes `run` honour them changes this test on purpose.
+        cfg = tiny_config(tiny_dataset, tmp_path / "a", arms=("unimodal", "virtual_multimodal"))
+        cfg.classifier.pretrain = True
+        other = replace(cfg, gan=replace(cfg.gan, seed=5), classifier=replace(cfg.classifier, seed=7))
+        first = run_experiment(cfg, write_outputs=False)
+        second = run_experiment(other, write_outputs=False)
+        assert first.per_subject == second.per_subject
+        assert first.config_fingerprint != second.config_fingerprint
+
     def test_pretrain_path_runs(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "outp", arms=("unimodal",))
         cfg.classifier.pretrain = True

@@ -1,6 +1,9 @@
 """sha256 of every file `vimu run` and the staged commands write, and of their datasets.
 
-Synthesizes two datasets (tiny and desk), runs the CLI's `run` command on
+Synthesizes three datasets (tiny, desk, and a small one at the ingest
+geometry: 16 muscle and 3 acceleration channels at 200 Hz, 4 s trials,
+3 x 5 x 3 = 45 trials, a count that splits unevenly across writer
+threads), runs the CLI's `run` command on
 the tiny config (all three arms), on the tiny config with cohort
 pretraining and generator snapshots, and on `desk_config` at seed 0. It
 also runs every staged command that writes a file on the tiny set:
@@ -35,11 +38,17 @@ from vimu.pipeline import ClassifierSpec, ExperimentConfig, desk_config
 from vimu.sigproc import PreprocSpec
 
 
+DATASETS = ("tiny_data", "desk_data", "ingest_data")
+
+
 def configs() -> dict:
-    """Write the two synthetic datasets into the current directory; returns the configs by run name."""
-    tiny_data, desk_data = Path("tiny_data"), Path("desk_data")
+    """Write the synthetic datasets into the current directory; returns the configs by run name."""
+    tiny_data, desk_data, ingest_data = map(Path, DATASETS)
     synth_generate(SynthConfig(subjects=2, gestures=2, trials=4, trial_seconds=5.0, seed=11), tiny_data)
     synth_generate(SynthConfig(seed=0), desk_data)
+    # the other fields keep SynthConfig's defaults: 3 acceleration channels at 200 Hz
+    synth_generate(SynthConfig(subjects=3, gestures=5, trials=3, semg_channels=16, trial_seconds=4.0,
+                               seed=7), ingest_data)
     tiny = ExperimentConfig(
         dataset=str(tiny_data), preproc=PreprocSpec(window_ms=200.0, step_ms=200.0, decimation=4),
         gan=GanTrainConfig(epochs=4, batch_size=8, generator_maps=(4, 2, 1), max_pairs=64),
@@ -103,7 +112,7 @@ def run_digests() -> dict:
         if main(argv) != 0:
             raise SystemExit(f"vimu {argv[0]} failed on the staged path")
     _digest_tree(Path("staged"), digests)
-    for dataset in ("tiny_data", "desk_data"):
+    for dataset in DATASETS:
         _digest_tree(Path(dataset), digests)
     return digests
 
