@@ -2,8 +2,8 @@
 
 Subcommands: synth, preprocess, train-gan, generate-imu, train-clf,
 evaluate, run, report. Exit codes: 0 success, 1 usage error, 2 data error,
-3 training divergence. The VIMU_SEED environment variable overrides any
-configured seed.
+3 training divergence. The VIMU_SEED environment variable overrides the
+configured seed of ``vimu run``; the other subcommands ignore it.
 """
 from __future__ import annotations
 

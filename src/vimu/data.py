@@ -16,6 +16,7 @@ not in the trial file.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -209,6 +210,9 @@ def import_csv(semg_csv, imu_csv, meta: CsvTrialMeta) -> TrialRecord:
 class TrimSpec:
     rest_lead_s: float = 1.0
     action_s: float = 3.0
+
+
+SYNTH_TRIM = TrimSpec(1.0, 3.0)
 
 
 def trim_trial(record: TrialRecord, rest_lead_s: float = 1.0, action_s: float = 3.0) -> TrialRecord:
@@ -421,8 +425,8 @@ PROFILES = {
 }
 
 
-def synthetic_profile(manifest: DatasetManifest, trim: TrimSpec | None = None) -> DatabaseProfile:
-    """Derive a split profile from a synthetic dataset's manifest.
+def synthetic_profile(manifest: DatasetManifest) -> DatabaseProfile:
+    """Derive a split profile from a synthetic dataset's manifest; it trims to :data:`SYNTH_TRIM`.
 
     Odd trials train, even trials test; the second-experiment generator
     cohort sees only the training trials.
@@ -444,7 +448,7 @@ def synthetic_profile(manifest: DatasetManifest, trim: TrimSpec | None = None) -
         usable_trials=trials,
         clf_train_trials=train,
         clf_test_trials=test,
-        trim=trim if trim is not None else TrimSpec(1.0, 3.0),
+        trim=SYNTH_TRIM,
     )
 
 
@@ -546,8 +550,6 @@ class SynthConfig(DictCodec):
     imu_channels: int = 3
     imu_kind: str = "acc"
     trial_seconds: float = 6.0
-    rest_lead_s: float = 1.0
-    action_s: float = 3.0
     semg_noise: float = 0.3
     imu_noise: float = 0.02
     subject_gain_jitter: float = 0.15
@@ -564,10 +566,10 @@ class SynthConfig(DictCodec):
             raise ConfigError(
                 f"synthetic config field sample_rate_hz must be > 0, got {self.sample_rate_hz:g}"
             )
-        if self.trial_seconds < self.rest_lead_s + self.action_s:
+        if self.trial_seconds < SYNTH_TRIM.rest_lead_s + SYNTH_TRIM.action_s:
             raise ConfigError(
-                f"synthetic config field trial_seconds must be >= rest_lead_s + action_s = "
-                f"{self.rest_lead_s + self.action_s:g} s, got {self.trial_seconds:g}"
+                f"synthetic config field trial_seconds must be >= the rest lead plus the action = "
+                f"{SYNTH_TRIM.rest_lead_s + SYNTH_TRIM.action_s:g} s, got {self.trial_seconds:g}"
             )
 
 
@@ -596,8 +598,17 @@ def synth_latents(cfg: SynthConfig):
     return patterns, mixing, offsets
 
 
+@functools.lru_cache(maxsize=4)
+def _action_curve(action: int):
+    """The phase in [0, 1) and the bump of an ``action``-frame action; read-only, shared by every trial."""
+    tau = np.linspace(0.0, 1.0, action, endpoint=False)
+    bump = np.sin(np.pi * tau) ** 2
+    tau.flags.writeable = bump.flags.writeable = False
+    return tau, bump
+
+
 def synth_envelope(cfg: SynthConfig, gesture: int, subject: int, trial: int) -> np.ndarray:
-    """Smooth per-frame activation envelope for one trial (zero during rest).
+    """Smooth per-frame activation envelope for one trial, zero outside the :data:`SYNTH_TRIM` action.
 
     Gestures carry distinct peak amplitudes and wobble frequencies on top of
     distinct channel patterns, so a motion window's level and texture jointly
@@ -605,15 +616,14 @@ def synth_envelope(cfg: SynthConfig, gesture: int, subject: int, trial: int) -> 
     """
     rate = cfg.sample_rate_hz
     frames = int(round(cfg.trial_seconds * rate))
-    lead = int(round(cfg.rest_lead_s * rate))
-    action = int(round(cfg.action_s * rate))
+    lead = int(round(SYNTH_TRIM.rest_lead_s * rate))
+    action = int(round(SYNTH_TRIM.action_s * rate))
     rng = _synth_rng(cfg, 1, subject, gesture, trial)
     base_amp = 0.55 + 0.9 * (gesture + 1) / cfg.gestures
     amp = base_amp * (1.0 + cfg.trial_jitter * rng.standard_normal())
     phase = 2.0 * np.pi * gesture / cfg.gestures + cfg.trial_jitter * rng.standard_normal()
     freq = 1.0 + 0.6 * gesture
-    tau = np.linspace(0.0, 1.0, action, endpoint=False)
-    bump = np.sin(np.pi * tau) ** 2
+    tau, bump = _action_curve(action)
     wobble = 1.0 + cfg.envelope_depth * np.sin(2.0 * np.pi * freq * tau + phase)
     env = np.zeros(frames)
     env[lead : lead + action] = np.abs(amp) * bump * wobble

@@ -238,8 +238,8 @@ def train_classifier(model: FusionModel, stream_arrays, labels, cfg: ClfTrainCon
     return model.params, history
 
 
-def predict(model: FusionModel, stream_arrays, batch_size: int = EVAL_BATCH):
-    """Eval-mode class predictions; ties break toward the lowest index.
+def predict(model: FusionModel, stream_arrays):
+    """Eval-mode class predictions, ``EVAL_BATCH`` windows at a time; ties break toward the lowest index.
 
     Returns (labels, probabilities).
     """
@@ -247,8 +247,8 @@ def predict(model: FusionModel, stream_arrays, batch_size: int = EVAL_BATCH):
     n = arrays[0].shape[0]
     probs = []
     with no_grad():
-        for start in range(0, n, batch_size):
-            out = model.forward([a[start : start + batch_size] for a in arrays], mode="eval")
+        for start in range(0, n, EVAL_BATCH):
+            out = model.forward([a[start : start + EVAL_BATCH] for a in arrays], mode="eval")
             probs.append(out.data)
     probs = np.concatenate(probs, axis=0)
     return probs.argmax(axis=1), probs

@@ -366,12 +366,12 @@ def train_gan(semg_windows, imu_windows, cfg: GanTrainConfig):
     return gen, disc, history
 
 
-def _eval_outputs(cfg: GeneratorConfig, params: ParamSet, windows, batch_size: int = EVAL_BATCH):
-    """Eval-mode generator outputs, (n, k, c2), for (n, k, c1) windows, ``batch_size`` at a time."""
+def _eval_outputs(cfg: GeneratorConfig, params: ParamSet, windows):
+    """Eval-mode generator outputs, (n, k, c2), for (n, k, c1) windows, ``EVAL_BATCH`` at a time."""
     outs = []
     with no_grad():
-        for start in range(0, windows.shape[0], batch_size):
-            out = generator_forward(cfg, params, windows[start : start + batch_size], mode="eval")
+        for start in range(0, windows.shape[0], EVAL_BATCH):
+            out = generator_forward(cfg, params, windows[start : start + EVAL_BATCH], mode="eval")
             outs.append(out.data[:, 0])
     return np.concatenate(outs, axis=0)
 
@@ -435,7 +435,7 @@ def normalize_generator_inputs(bundle: GeneratorBundle, semg_windows) -> np.ndar
     return apply_norm(np.asarray(semg_windows), bundle.semg_stats, "zscore")
 
 
-def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EVAL_BATCH) -> np.ndarray:
+def generate_virtual(bundle: GeneratorBundle, semg_windows) -> np.ndarray:
     """Synthesize physical-unit motion windows from normalized muscle windows.
 
     ``semg_windows`` must be (n, k, c1) windows already normalized with the
@@ -453,7 +453,7 @@ def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EV
         )
     if bundle.imu_stats.channels != bundle.cfg.imu_channels:
         raise StatsMismatchError("stored motion stats do not match the generator geometry")
-    normalized = _eval_outputs(bundle.cfg, bundle.params, x, batch_size)
+    normalized = _eval_outputs(bundle.cfg, bundle.params, x)
     return invert_norm(normalized, bundle.imu_stats, "minmax_pm1")
 
 
@@ -461,8 +461,8 @@ def generate_virtual(bundle: GeneratorBundle, semg_windows, batch_size: int = EV
 class GeneratorSidecar(DictCodec):
     """``generator.json``: the generator's geometry and stats, provenance, and the critic's config.
 
-    ``discriminator`` is recorded only when the bundle holds a critic
-    checkpoint and its config; the key is then absent, not null.
+    Every bundle written records ``discriminator``; a sidecar written
+    before the critic's config was recorded lacks the key and reads as None.
     """
 
     generator: GeneratorConfig
@@ -475,20 +475,16 @@ class GeneratorSidecar(DictCodec):
     discriminator: DiscriminatorConfig | None = None
 
 
-def save_generator_bundle(directory, bundle: GeneratorBundle, disc_params: ParamSet | None = None,
-                          disc_cfg: DiscriminatorConfig | None = None):
-    """Write generator (and optionally discriminator) checkpoints + sidecar."""
+def save_generator_bundle(directory, bundle: GeneratorBundle, disc_params: ParamSet,
+                          disc_cfg: DiscriminatorConfig):
+    """Write the generator and discriminator checkpoints and the sidecar."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     checkpoint.save_tensors(directory / "generator.ckpt", bundle.params.state_dict())
-    if disc_params is not None:
-        checkpoint.save_tensors(directory / "discriminator.ckpt", disc_params.state_dict())
+    checkpoint.save_tensors(directory / "discriminator.ckpt", disc_params.state_dict())
     meta = GeneratorSidecar(bundle.cfg, bundle.semg_stats, bundle.imu_stats, bundle.seed,
-                            bundle.data_fingerprint, bundle.params.init_record, bundle.extra,
-                            disc_cfg if disc_params is not None else None).to_dict()
-    if meta["discriminator"] is None:
-        del meta["discriminator"]
-    write_json(directory / "generator.json", meta)
+                            bundle.data_fingerprint, bundle.params.init_record, bundle.extra, disc_cfg)
+    write_json(directory / "generator.json", meta.to_dict())
 
 
 def load_discriminator(directory):

@@ -28,6 +28,10 @@ from .tensor import Tensor
 # and 47 MB at 1024, where every layer streams it through memory.
 EVAL_BATCH = 256
 
+# batchnorm's running-statistics momentum and variance guard
+BN_MOMENTUM = 0.9
+BN_EPS = 1e-5
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -50,8 +54,6 @@ class LayerSpec:
     output_padding: tuple = (0, 0)
     rate: float = 0.0
     slope: float = 0.2
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -232,10 +234,10 @@ def _batchnorm(spec, t, found, run):
     gamma, beta, mean, var = found
     mode, _, update_stats, params, prefix = run
     if mode == "eval":
-        return T.batchnorm_eval(t, gamma, beta, mean, var, spec.eps)
-    out, batch_mean, batch_var = T.batchnorm_train(t, gamma, beta, spec.eps)
+        return T.batchnorm_eval(t, gamma, beta, mean, var, BN_EPS)
+    out, batch_mean, batch_var = T.batchnorm_train(t, gamma, beta, BN_EPS)
     if update_stats:
-        m, key = spec.momentum, prefix + spec.name
+        m, key = BN_MOMENTUM, prefix + spec.name
         params.buffers[key + ".mean"] = (m * mean + (1.0 - m) * batch_mean).astype(mean.dtype, copy=False)
         params.buffers[key + ".var"] = (m * var + (1.0 - m) * batch_var).astype(mean.dtype, copy=False)
     return out

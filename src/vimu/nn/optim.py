@@ -7,10 +7,14 @@ import numpy as np
 
 from .layers import ParamSet
 
+ADAM_BETA1 = 0.5
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Adam with bias correction. beta1 defaults to the DCGAN convention.
+    """Adam with bias correction; :data:`ADAM_BETA1` follows the DCGAN convention.
 
     ``m`` and ``v`` hold the moments as one vector each, over the parameters
     in parameter order. The first step sizes them; a later step on a
@@ -18,9 +22,6 @@ class AdamState:
     """
 
     learning_rate: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -41,21 +42,21 @@ def adam_step(state: AdamState, params: ParamSet):
                          f"the parameters {steps.size} {steps.dtype}")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     # step = lr * (m / c1) / (sqrt(v / c2) + eps), after the moment updates,
     # op for op, written over each gradient once the moments have read it
     for g, m, v, a in _blocks(steps, state.m, state.v):
-        m *= state.beta1
-        np.multiply(g, 1.0 - state.beta1, out=a)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=a)
         m += a
-        v *= state.beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=a)
-        a *= 1.0 - state.beta2
+        a *= 1.0 - ADAM_BETA2
         v += a
         np.divide(v, c2, out=a)
         np.sqrt(a, out=a)
-        a += state.eps
+        a += ADAM_EPS
         np.divide(m, c1, out=g)
         g *= state.learning_rate
         g /= a
@@ -80,17 +81,19 @@ def _blocks(*vectors):
         yield *(vec[start:stop] for vec in vectors), work[: stop - start]
 
 
+SGD_INITIAL_LR = 0.1
+SGD_DIVISOR = 10.0
+
+
 @dataclass
 class SgdState:
-    """Plain SGD whose learning rate drops by ``divisor`` at each decay epoch."""
+    """Plain SGD at :data:`SGD_INITIAL_LR`, divided by :data:`SGD_DIVISOR` at each decay epoch."""
 
-    initial_lr: float = 0.1
     decay_epochs: tuple = (16, 24)
-    divisor: float = 10.0
 
     def learning_rate(self, epoch: int) -> float:
         drops = sum(1 for d in self.decay_epochs if epoch >= d)
-        return self.initial_lr / self.divisor**drops
+        return SGD_INITIAL_LR / SGD_DIVISOR**drops
 
 
 def sgd_step(state: SgdState, params: ParamSet, epoch: int):

@@ -524,15 +524,15 @@ def render_report_svg(report: MetricsReport) -> str:
 # the full pipeline
 
 def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
-                           cfg: GanTrainConfig, out_dir=None):
+                           cfg: GanTrainConfig, out_dir):
     """Train the generator on one cohort's raw (muscle, motion) window pairs.
 
     Fits the cohort's channel stats, z-scores the muscle windows, scales the
     motion windows to [-1, 1] and runs ``train_gan``. The bundle records the
     stats, the seed, the data fingerprint and the epochs/pairs provenance.
-    With ``out_dir`` set it also writes the bundle, the trained critic with
-    its recorded config, and ``history.json``. Returns (bundle,
-    discriminator params, history).
+    It writes the bundle, the trained critic with its recorded config, and
+    ``history.json`` under ``out_dir``. Returns (bundle, discriminator
+    params, history).
     """
     semg_stats = fit_stats(semg_windows)
     imu_stats = fit_stats(imu_windows)
@@ -549,10 +549,9 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
         data_fingerprint=data_fingerprint(semg_norm, imu_norm),
         extra={"epochs": cfg.epochs, "pairs": n},
     )
-    if out_dir is not None:
-        save_generator_bundle(out_dir, bundle, disc_params,
-                              DiscriminatorConfig.from_dict(history["discriminator"]))
-        write_json(Path(out_dir, "history.json"), history)
+    save_generator_bundle(out_dir, bundle, disc_params,
+                          DiscriminatorConfig.from_dict(history["discriminator"]))
+    write_json(Path(out_dir, "history.json"), history)
     return bundle, disc_params, history
 
 
@@ -670,7 +669,7 @@ def _one_blas_thread() -> bool:
 
 
 def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTable, classes: int,
-               classifiers_dir=None, virtual=None, subjects=None) -> dict:
+               classifiers_dir: Path, virtual=None, subjects=None) -> dict:
     """Train and evaluate one classifier per subject on ``arm``; its per-subject rows.
 
     ``subjects`` defaults to every recognition subject. The arm's
@@ -678,8 +677,8 @@ def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTa
     training windows and, with ``classifier.pretrain``, the pooled model)
     does not depend on ``subjects``, and each subject's classifier has seeds
     of its own, so any share of the subjects gets the rows and bundles the
-    whole arm gives those subjects. With ``classifiers_dir`` set each
-    subject's bundle is written under ``classifiers_dir/arm``.
+    whole arm gives those subjects. Each subject's bundle is written under
+    ``classifiers_dir/arm``.
     """
     rec_mask = np.isin(table.subjects, plan.recognition_subjects)
     train_mask = rec_mask & np.isin(table.trials, plan.clf_train_trials)
@@ -716,17 +715,16 @@ def _train_arm(arm: str, cfg: ExperimentConfig, plan: SplitPlan, table: WindowTa
             "trial_majority_accuracy": trial_majority_accuracy(preds, table.labels[s_test],
                                                                table.trials[s_test]),
         }
-        if classifiers_dir is not None:
-            save_classifier_bundle(
-                classifiers_dir / arm / f"subject_{subject:02d}",
-                model, stream_stats, seed,
-                extra={"arm": arm, "subject": subject},
-            )
+        save_classifier_bundle(
+            classifiers_dir / arm / f"subject_{subject:02d}",
+            model, stream_stats, seed,
+            extra={"arm": arm, "subject": subject},
+        )
     return arm_rows
 
 
-def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> MetricsReport:
-    """Run the requested arms end to end and aggregate per-subject accuracy.
+def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
+    """Run the requested arms end to end and write every output under ``cfg.out_dir``; returns the report.
 
     Only the virtual arm needs the generator. When it is requested with
     other arms, a forked helper process trains those while this process
@@ -746,8 +744,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
     plan = make_split(dataset.manifest, cfg.experiment, profile)
     validate_plan(plan)
     out_dir = Path(cfg.out_dir)
-    if write_outputs:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     need_real = "real_multimodal" in cfg.arms
     need_virtual = "virtual_multimodal" in cfg.arms
@@ -759,7 +756,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
         raise DataError("motion windows missing for the requested arms")
 
     train_arm = partial(_train_arm, cfg=cfg, plan=plan, table=table, classes=dataset.manifest.gestures,
-                        classifiers_dir=out_dir / "classifiers" if write_outputs else None)
+                        classifiers_dir=out_dir / "classifiers")
     helper = None
     main_share = None  # the virtual arm's subjects this process trains, when the helper trains the rest
     units = [(arm, None) for arm in cfg.arms if arm != "virtual_multimodal"]
@@ -778,8 +775,7 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
             gan_table = table.select(gan_mask)
             assert_no_leakage(plan, gan_table.subjects, gan_table.trials, "gan")
             gan_cfg = replace(cfg.gan, seed=derive_seed(cfg.seed, "gan"))
-            bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg,
-                                                  out_dir / "gan" if write_outputs else None)
+            bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg, out_dir / "gan")
             semg_for_generator = normalize_generator_inputs(bundle, table.semg_gan).astype(np.float32)
             virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
             if main_share:
@@ -808,6 +804,5 @@ def run_experiment(cfg: ExperimentConfig, write_outputs: bool = True) -> Metrics
         profile=profile.name,
         experiment=cfg.experiment,
     )
-    if write_outputs:
-        emit_report(report, out_dir)
+    emit_report(report, out_dir)
     return report

@@ -262,19 +262,13 @@ def stack_windows(windows) -> np.ndarray:
     return np.stack([w.data for w in windows], axis=0)
 
 
-def fit_stats(items) -> ChannelStats:
+def fit_stats(data: np.ndarray) -> ChannelStats:
     """Fit per-channel min/max/mean/std (population std) on training data.
 
-    Accepts a list of series, a list of arrays, or a single array; frames
-    are pooled across the list. Never fit these on test data.
+    ``data`` is any array whose last axis is channels; every other axis is
+    pooled. Never fit these on test data.
     """
-    if isinstance(items, (MultichannelSeries, np.ndarray)):
-        items = [items]
-    blocks = []
-    for item in items:
-        arr = item.data if isinstance(item, MultichannelSeries) else np.asarray(item, dtype=np.float64)
-        blocks.append(arr.reshape(-1, arr.shape[-1]))
-    pooled = np.concatenate(blocks, axis=0)
+    pooled = np.ascontiguousarray(data, dtype=np.float64).reshape(-1, data.shape[-1])
     return ChannelStats(
         minimum=pooled.min(axis=0),
         maximum=pooled.max(axis=0),
@@ -293,10 +287,10 @@ def _check_channels(stats: ChannelStats, channels: int):
 def apply_norm(data, stats: ChannelStats, mode: str) -> np.ndarray:
     """Normalize per channel: ``minmax_pm1`` to [-1, 1] or ``zscore``.
 
-    Degenerate channels (max == min, or std == 0) map to zero. Accepts a
-    series or any array whose last axis is channels; returns an array.
+    Degenerate channels (max == min, or std == 0) map to zero. ``data`` is
+    any array whose last axis is channels; returns a float64 array.
     """
-    arr = data.data if isinstance(data, MultichannelSeries) else np.asarray(data, dtype=np.float64)
+    arr = np.asarray(data, dtype=np.float64)
     _check_channels(stats, arr.shape[-1])
     if mode == "minmax_pm1":
         span = stats.maximum - stats.minimum

@@ -434,7 +434,7 @@ def test_end_to_end_ordering(desk_dataset, tmp_path):
     means = {"unimodal": [], "virtual_multimodal": [], "real_multimodal": []}
     for seed in range(5):
         cfg = desk_config(str(desk_dataset), out_dir=str(tmp_path / f"s{seed}"), seed=seed)
-        report = run_experiment(cfg, write_outputs=False)
+        report = run_experiment(cfg)
         for arm in means:
             means[arm].append(report.arm_summary[arm]["mean"])
     elapsed = time.time() - start

@@ -277,6 +277,18 @@ class TestSynthetic:
             )[0][0]
             assert np.allclose(recovered, target_direction, atol=1e-9)
 
+    @pytest.mark.parametrize("rate", [200.0, 500.0])
+    def test_synthetic_profile_trims_at_the_action(self, tmp_path, rate):
+        cfg = SynthConfig(subjects=1, gestures=2, trials=2, sample_rate_hz=rate, trial_seconds=5.0)
+        trim = synthetic_profile(synth_generate(cfg, tmp_path / "ds")).trim
+        for gesture in range(cfg.gestures):
+            env = vdata.synth_envelope(cfg, gesture, subject=1, trial=1)
+            t = np.arange(len(env)) / rate
+            action = (t >= trim.rest_lead_s) & (t < trim.rest_lead_s + trim.action_s)
+            assert np.all(env[~action] == 0.0)
+            # the action's first frame is sin(0) = 0; every later one is active
+            assert env[action][0] == 0.0 and np.all(env[action][1:] > 0.0)
+
     def test_class_conditional_motion_means_differ(self):
         cfg = SynthConfig()
         patterns, mixing, _ = synth_latents(cfg)

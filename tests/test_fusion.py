@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vimu.fusion
 from vimu.errors import ConfigError, DataError
 from vimu.fusion import (
     ClfTrainConfig,
@@ -167,14 +168,15 @@ class TestTraining:
         assert np.array_equal(labels, y)
 
     def test_loss_decreases_on_fixed_batch_small_lr(self):
-        # five SGD steps on one fixed batch at lr 0.001, fixed dropout masks
+        # five SGD steps on one fixed batch at lr 0.001 (two decays already
+        # taken at epoch 0), fixed dropout masks
         from vimu.nn import backprop
         from vimu.nn.losses import cross_entropy_loss
         from vimu.nn.optim import SgdState, sgd_step
 
         x, y = separable_windows(n_per_class=8, classes=2, seed=4)
         model = build_unimodal(slim_stream(), FusionConfig(classes=2, hidden_units=16), seed=4)
-        sgd = SgdState(initial_lr=0.001, decay_epochs=())
+        sgd = SgdState(decay_epochs=(0, 0))
 
         def batch_loss():
             rng = np.random.default_rng(11)
@@ -304,7 +306,7 @@ class TestPredict:
         scaled, _ = predict(model, [x])
         assert np.array_equal(labels, scaled)
 
-    def test_default_chunks_match_one_batch(self):
+    def test_default_chunks_match_one_batch(self, monkeypatch):
         # 640 windows are two and a half default chunks. A different GEMM
         # height may move the last float32 bit of a probability, never a label.
         model = build_multimodal(slim_stream(), slim_stream(channels=3),
@@ -312,7 +314,8 @@ class TestPredict:
         rng = np.random.default_rng(6)
         arrays = [rng.standard_normal((640, 10, c)).astype(np.float32) for c in (4, 3)]
         labels, probs = predict(model, arrays)
-        whole_labels, whole_probs = predict(model, arrays, batch_size=640)
+        monkeypatch.setattr(vimu.fusion, "EVAL_BATCH", 640)
+        whole_labels, whole_probs = predict(model, arrays)
         assert np.array_equal(labels, whole_labels)
         assert np.allclose(probs, whole_probs, rtol=0, atol=1e-6)
 

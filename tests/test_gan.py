@@ -1,9 +1,11 @@
+import json
 import math
 import zlib
 
 import numpy as np
 import pytest
 
+import vimu.gan
 from vimu.errors import ConfigError, DataError, FormatError, StatsMismatchError
 from vimu.gan import (
     DiscriminatorConfig,
@@ -346,13 +348,14 @@ class TestGenerateVirtual:
         with pytest.raises(StatsMismatchError):
             generate_virtual(bundle, np.zeros((2, 10, 5), dtype=np.float32))
 
-    def test_default_chunks_equal_one_batch(self):
+    def test_default_chunks_equal_one_batch(self, monkeypatch):
         # 640 windows are two and a half default chunks; eval mode keeps no
         # batch statistics, so the chunking moves no output bit.
         bundle, _, _ = self._bundle()
         semg = np.random.default_rng(5).standard_normal((640, 10, 4)).astype(np.float32)
         chunked = generate_virtual(bundle, semg)
-        whole = generate_virtual(bundle, semg, batch_size=len(semg))
+        monkeypatch.setattr(vimu.gan, "EVAL_BATCH", len(semg))
+        whole = generate_virtual(bundle, semg)
         assert chunked.tobytes() == whole.tobytes()
 
 
@@ -384,9 +387,15 @@ class TestBundleIO:
 
     def test_sidecar_without_critic_record_is_format_error(self, tmp_path):
         semg, imu = make_pairs(n=32)
-        gen, disc, _ = train_gan(semg, imu, GanTrainConfig(epochs=0, batch_size=16, generator_maps=(4, 2, 1)))
+        gen, disc, history = train_gan(semg, imu, GanTrainConfig(epochs=0, batch_size=16, generator_maps=(4, 2, 1)))
         bundle = GeneratorBundle(GeneratorConfig(10, 4, 3, tconv_maps=(4, 2, 1)), gen,
                                  fit_stats(semg.reshape(-1, 4)), fit_stats(imu.reshape(-1, 3)))
-        save_generator_bundle(tmp_path, bundle, disc)  # no critic config recorded
+        save_generator_bundle(tmp_path, bundle, disc, DiscriminatorConfig.from_dict(history["discriminator"]))
+        # a sidecar written before the critic's config was recorded lacks the key
+        sidecar = tmp_path / "generator.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["discriminator"]
+        sidecar.write_text(json.dumps(meta))
+        assert load_generator_bundle(tmp_path).data_fingerprint == bundle.data_fingerprint
         with pytest.raises(FormatError, match="discriminator"):
             load_discriminator(tmp_path)

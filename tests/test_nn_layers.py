@@ -77,7 +77,7 @@ def test_batchnorm_eval_uses_running_stats():
 
 
 def test_batchnorm_running_stats_update_only_when_asked():
-    layers = [LayerSpec("batchnorm", "bn", momentum=0.9)]
+    layers = [LayerSpec("batchnorm", "bn")]
     params = init_stack_params(layers, (2,), seed=0)
     x = np.random.default_rng(3).standard_normal((8, 2)).astype(np.float32)
     before = params.buffers["bn.mean"].copy()

@@ -163,7 +163,7 @@ class TestFlatVectors:
         params = mixed_params()
         want = {k: v.copy() for k, v in params.state_dict().items()}
         rng = np.random.default_rng(2)
-        sched = SgdState(initial_lr=0.1, decay_epochs=(8, 14))
+        sched = SgdState(decay_epochs=(8, 14))
         for epoch in range(20):
             for k, s in SHAPES.items():
                 # some parameters get no gradient; they must not move

@@ -10,6 +10,7 @@ import pytest
 from vimu import pipeline, sigproc
 from vimu.data import (
     PROFILES,
+    SYNTH_TRIM,
     Dataset,
     SplitPlan,
     SynthConfig,
@@ -323,7 +324,7 @@ class TestStackedExtraction:
                           trial_seconds=4.0, seed=1)
         synth_generate(cfg, tmp_path / "ds")
         ds = Dataset(tmp_path / "ds")
-        frames = int(cfg.action_s * cfg.sample_rate_hz)
+        frames = int(SYNTH_TRIM.action_s * cfg.sample_rate_hz)
         full_rate = cfg.gestures * cfg.trials * frames * (cfg.semg_channels + cfg.imu_channels) * 8
         tracemalloc.start()
         try:
@@ -375,7 +376,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_unimodal_only_contract(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "out", arms=("unimodal",))
-        report = run_experiment(cfg, write_outputs=False)
+        report = run_experiment(cfg)
         assert list(report.per_subject) == ["unimodal"]
         assert sorted(report.per_subject["unimodal"]) == ["1", "2"]
         for row in report.per_subject["unimodal"].values():
@@ -453,8 +454,7 @@ class TestRunExperiment:
                 fh.write(f"{arm} {subject} {os.getpid()}\n")
 
         on_subject_training(monkeypatch, record)
-        run_experiment(tiny_config(three_subject_dataset, tmp_path / "out", arms=pipeline.ARMS),
-                       write_outputs=False)
+        run_experiment(tiny_config(three_subject_dataset, tmp_path / "out", arms=pipeline.ARMS))
         pid_of = {}
         for line in log.read_text().splitlines():
             arm, subject, pid = line.split()
@@ -470,7 +470,7 @@ class TestRunExperiment:
     def test_all_arms_report_deltas(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "out3",
                           arms=("unimodal", "virtual_multimodal", "real_multimodal"))
-        report = run_experiment(cfg, write_outputs=False)
+        report = run_experiment(cfg)
         assert set(report.deltas) == {"virtual_minus_unimodal", "real_minus_virtual"}
         recomputed = report.arm_summary["virtual_multimodal"]["mean"] - report.arm_summary["unimodal"]["mean"]
         assert report.deltas["virtual_minus_unimodal"] == pytest.approx(recomputed, abs=1e-12)
@@ -483,15 +483,15 @@ class TestRunExperiment:
         cfg = tiny_config(tiny_dataset, tmp_path / "a", arms=("unimodal", "virtual_multimodal"))
         cfg.classifier.pretrain = True
         other = replace(cfg, gan=replace(cfg.gan, seed=5), classifier=replace(cfg.classifier, seed=7))
-        first = run_experiment(cfg, write_outputs=False)
-        second = run_experiment(other, write_outputs=False)
+        first = run_experiment(cfg)
+        second = run_experiment(other)
         assert first.per_subject == second.per_subject
         assert first.config_fingerprint != second.config_fingerprint
 
     def test_pretrain_path_runs(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "outp", arms=("unimodal",))
         cfg.classifier.pretrain = True
-        report = run_experiment(cfg, write_outputs=False)
+        report = run_experiment(cfg)
         assert sorted(report.per_subject["unimodal"]) == ["1", "2"]
 
     def test_missing_motion_arm_rejected(self, tmp_path):
@@ -505,4 +505,4 @@ class TestRunExperiment:
         manifest_path.write_text(json.dumps(raw))
         run_cfg = tiny_config(root, tmp_path / "out4", arms=("real_multimodal",))
         with pytest.raises(DataError):
-            run_experiment(run_cfg, write_outputs=False)
+            run_experiment(run_cfg)
