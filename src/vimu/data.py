@@ -12,7 +12,8 @@ JSON manifest indexing them. Trial binary layout (little-endian):
     crc      u32      CRC32 of every preceding byte
 
 Sample rate and the (subject, gesture, trial) identity live in the manifest,
-not in the trial file.
+not in the trial file. ``synth_generate`` writes synthetic trials through a
+pool of one thread per CPU.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ import functools
 import math
 import os
 import struct
-import threading
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -215,6 +215,11 @@ class TrimSpec:
 SYNTH_TRIM = TrimSpec(1.0, 3.0)
 
 
+def _frames(seconds: float, rate: float) -> int:
+    """Whole frames in ``seconds`` at ``rate``; the trim and the synthesizer share this rule."""
+    return int(math.floor(seconds * rate + 1e-9))
+
+
 def trim_trial(record: TrialRecord, rest_lead_s: float = 1.0, action_s: float = 3.0) -> TrialRecord:
     """Cut a trial down to its stable action slice.
 
@@ -222,8 +227,8 @@ def trim_trial(record: TrialRecord, rest_lead_s: float = 1.0, action_s: float = 
     are exact for any rate; a too-short trial raises.
     """
     rate = record.semg.sample_rate_hz
-    lead = int(math.floor(rest_lead_s * rate + 1e-9))
-    action = int(math.floor(action_s * rate + 1e-9))
+    lead = _frames(rest_lead_s, rate)
+    action = _frames(action_s, rate)
     if record.semg.frames < lead + action:
         raise DataError(
             f"trial of {record.semg.frames} frames is shorter than lead+action "
@@ -616,8 +621,8 @@ def synth_envelope(cfg: SynthConfig, gesture: int, subject: int, trial: int) -> 
     """
     rate = cfg.sample_rate_hz
     frames = int(round(cfg.trial_seconds * rate))
-    lead = int(round(SYNTH_TRIM.rest_lead_s * rate))
-    action = int(round(SYNTH_TRIM.action_s * rate))
+    lead = _frames(SYNTH_TRIM.rest_lead_s, rate)
+    action = _frames(SYNTH_TRIM.action_s, rate)
     rng = _synth_rng(cfg, 1, subject, gesture, trial)
     base_amp = 0.55 + 0.9 * (gesture + 1) / cfg.gestures
     amp = base_amp * (1.0 + cfg.trial_jitter * rng.standard_normal())
@@ -642,12 +647,16 @@ def _trial_arrays(cfg: SynthConfig, latents, gain: float, subject: int, gesture:
     observed = patterns[gesture] * (
         1.0 + cfg.semg_pattern_jitter * rng.standard_normal(cfg.semg_channels)
     )
-    semg_drive = env[:, None] * np.abs(observed)[None, :]
-    semg = gain * semg_drive * np.abs(rng.standard_normal(semg_drive.shape))
-    semg = semg + cfg.semg_noise * rng.standard_normal(semg_drive.shape)
-    drive = env[:, None] * patterns[gesture][None, :]
-    imu = drive @ mixing.T + offsets[None, :]
-    imu = imu + cfg.imu_noise * rng.standard_normal(imu.shape)
+    semg = env[:, None] * np.abs(observed)[None, :]
+    semg *= gain
+    noise = rng.standard_normal(semg.shape)
+    semg *= np.abs(noise, out=noise)
+    rng.standard_normal(out=noise)
+    noise *= cfg.semg_noise
+    semg += noise
+    imu = np.multiply(env[:, None], patterns[gesture][None, :], out=noise) @ mixing.T
+    imu += offsets[None, :]
+    imu += cfg.imu_noise * rng.standard_normal(imu.shape)
     return semg, imu, env
 
 
@@ -679,51 +688,31 @@ def _synth_trial_name(subject: int, gesture: int, trial: int) -> str:
 def _write_synth_trials(cfg: SynthConfig, out_dir: Path, keys: list):
     """Write the trial file of every (subject, gesture, trial) in ``keys``, on every CPU.
 
-    Each thread takes every ``workers``-th key. The arrays come from
-    numpy's random fills and ufuncs, and the bytes are checksummed and
-    written, all outside the interpreter lock, so the threads run side by
-    side; a file's bytes depend on its key alone. All threads have ended on
-    return. If trials failed, the error of the first failing key is raised,
-    the one a loop over ``keys`` in order would raise.
+    The arrays come from numpy's random fills and ufuncs, and the bytes are
+    checksummed and written, all outside the interpreter lock, so the pool's
+    threads run side by side; a file's bytes depend on its key alone. The
+    first failing key's error is raised, as a loop over ``keys`` would, and
+    the keys not yet started are cancelled. All threads have ended on return.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, which `import vimu` leaves out
+
     latents = synth_latents(cfg)
     gains = {s: _subject_gain(cfg, s) for s in range(1, cfg.subjects + 1)}
-    workers = _synth_workers(len(keys))
-    first_error, error = len(keys), None  # the first failing key so far, and its error
-    lock = threading.Lock()
 
-    def work(share: int):
-        nonlocal first_error, error
-        for i in range(share, len(keys), workers):
-            if i > first_error:
-                return
-            subject, gesture, trial = keys[i]
-            try:
-                semg, imu, _ = _trial_arrays(cfg, latents, gains[subject], subject, gesture, trial)
-                write_trial(out_dir / _synth_trial_name(subject, gesture, trial), TrialRecord(
-                    semg=MultichannelSeries(semg, cfg.sample_rate_hz, "semg"),
-                    imu=MultichannelSeries(imu, cfg.sample_rate_hz, cfg.imu_kind),
-                    gesture_id=gesture,
-                    subject_id=subject,
-                    trial_id=trial,
-                ))
-            except Exception as exc:  # carried to the caller's thread, raised below
-                with lock:
-                    if i < first_error:
-                        first_error, error = i, exc
-                return
+    def write(key):
+        subject, gesture, trial = key
+        semg, imu, _ = _trial_arrays(cfg, latents, gains[subject], subject, gesture, trial)
+        write_trial(out_dir / _synth_trial_name(subject, gesture, trial), TrialRecord(
+            semg=MultichannelSeries(semg, cfg.sample_rate_hz, "semg"),
+            imu=MultichannelSeries(imu, cfg.sample_rate_hz, cfg.imu_kind),
+            gesture_id=gesture,
+            subject_id=subject,
+            trial_id=trial,
+        ))
 
-    threads = [threading.Thread(target=work, args=(share,), name=f"vimu-synth-{share}")
-               for share in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        work(0)
-    finally:
-        for t in threads:
-            t.join()
-    if error is not None:
-        raise error
+    with ThreadPoolExecutor(_synth_workers(len(keys))) as pool:
+        for _ in pool.map(write, keys):
+            pass
 
 
 def synth_generate(cfg: SynthConfig, out_dir) -> DatasetManifest:

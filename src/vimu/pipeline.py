@@ -6,17 +6,17 @@ train the adversarial generator on its cohort, synthesize virtual motion
 windows for the recognition subjects, then train and evaluate the requested
 arms (muscle-only, muscle + virtual motion, muscle + real motion) per
 subject. The arms that need no generator train in a forked helper process
-while the generator trains; with OpenBLAS on one thread per process the
-helper then trains the later half of the virtual arm's subjects while this
-process trains the first half. A leakage guard checks every training
-batch's (subject, trial) tags against the split plan.
+while the generator trains; with OpenBLAS on one thread per process a
+second helper, forked once the virtual windows exist, trains the later half
+of the virtual arm's subjects while this process trains the first half.
+A leakage guard checks every training batch's (subject, trial) tags
+against the split plan.
 """
 from __future__ import annotations
 
 import hashlib
 import itertools
 import json
-import mmap
 import os
 import pickle
 import signal
@@ -558,63 +558,36 @@ def train_generator_bundle(semg_windows: np.ndarray, imu_windows: np.ndarray,
 class _ArmHelper:
     """A forked child process that trains ``units`` in order through ``train_arm``.
 
-    A unit is (arm, recognition subjects). The child pickles one (arm, rows,
-    error) message per unit through a pipe, whatever the earlier units
-    raised, and ends with ``os._exit``. With ``virtual_shape`` set, a
-    shared anonymous buffer of that shape holds the virtual motion windows:
-    the child's virtual_multimodal unit waits for the byte ``send_virtual``
-    writes on a second pipe once it has filled the buffer. ``rows(arm)``
-    reads messages until that arm's arrives, keeps the ones ahead of it,
-    and raises the error it carries; ``close()`` kills the child if it
-    still runs and reaps it.
+    A unit is (arm, recognition subjects). The child gets every array it
+    trains on through the fork, pickles one (rows, error) message per unit
+    through a pipe, whatever the earlier units raised, and ends with
+    ``os._exit``. ``rows(arm)`` reads the next message, which is that arm's
+    when the units are asked for in order, and raises the error it carries;
+    ``close()`` kills the child if it still runs and reaps it.
     """
 
-    def __init__(self, units, train_arm, virtual_shape=None):
+    def __init__(self, units, train_arm):
         self.arms = tuple(arm for arm, _ in units)
-        self._messages = {}
-        windows = ready_read = self._ready = None
-        if virtual_shape is not None:
-            buffer = mmap.mmap(-1, 4 * int(np.prod(virtual_shape)))  # shared, anonymous, float32
-            windows = np.ndarray(virtual_shape, np.float32, buffer=buffer)
-            ready_read, self._ready = os.pipe()
         read_fd, write_fd = os.pipe()
         self.pid = os.fork()
         if self.pid == 0:
             os.close(read_fd)
-            if self._ready is not None:
-                os.close(self._ready)
-            _serve_arms(units, train_arm, write_fd, windows, ready_read)
+            _serve_arms(units, train_arm, write_fd)
         os.close(write_fd)
-        if ready_read is not None:
-            os.close(ready_read)
-        self._windows = windows
         self._pipe = os.fdopen(read_fd, "rb")
 
-    def send_virtual(self, virtual: np.ndarray):
-        """Fill the shared buffer and wake the child's virtual unit; never blocks."""
-        self._windows[...] = virtual
-        try:
-            os.write(self._ready, b"\1")
-        except BrokenPipeError:  # the child is gone; rows() reports how it ended
-            pass
-
     def rows(self, arm: str) -> dict:
-        while arm not in self._messages:
-            try:
-                unit, rows, error = pickle.load(self._pipe)
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"the arm helper process ended with {self._reap()} "
-                                        f"before reporting the {arm} arm") from None
-            self._messages[unit] = rows, error
-        rows, error = self._messages.pop(arm)
+        try:
+            rows, error = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError(f"the arm helper process ended with {self._reap()} "
+                                    f"before reporting the {arm} arm") from None
         if error is not None:
             raise error
         return rows
 
     def close(self):
         self._pipe.close()
-        if self._ready is not None:
-            os.close(self._ready)
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             self._reap()
@@ -626,27 +599,21 @@ class _ArmHelper:
         return f"exit status {code}" + (f" (killed by signal {-code})" if code < 0 else "")
 
 
-def _serve_arms(units, train_arm, fd, windows, ready_fd):
-    """The helper's body: one pickled (arm, rows, error) per unit; never returns.
-
-    The virtual_multimodal unit first reads the ready byte from ``ready_fd``,
-    then trains on ``windows``.
-    """
+def _serve_arms(units, train_arm, fd):
+    """The helper's body: one pickled (rows, error) per unit; never returns."""
     code = 1
     try:
         with os.fdopen(fd, "wb") as pipe:
             for arm, subjects in units:
                 rows = error = None
                 try:
-                    if arm == "virtual_multimodal" and not os.read(ready_fd, 1):
-                        raise ChildProcessError("the main process sent no virtual motion windows")
-                    rows = train_arm(arm, virtual=windows, subjects=subjects)
+                    rows = train_arm(arm, subjects=subjects)
                 except Exception as exc:
                     error = exc
                     if hasattr(error, "add_note"):  # Python 3.11+: the traceback goes along
                         error.add_note("raised in the arm helper process:\n"
                                        + "".join(traceback.format_exception(error)))
-                pickle.dump((arm, rows, error), pipe)
+                pickle.dump((rows, error), pipe)
                 pipe.flush()
         code = 0
     finally:
@@ -730,14 +697,14 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
     other arms, a forked helper process trains those while this process
     trains the generator and synthesizes virtual motion. With more than one
     recognition subject and OpenBLAS set to one thread per process, this
-    process then passes the virtual windows to the helper through a shared
-    buffer and the two split the virtual arm: this process trains the first
-    half of the subjects (rounded up), the helper the rest. Each repeats the
-    arm's deterministic preparation. Where ``os.fork`` does not exist every
-    arm runs here. Every arm's work and outputs are those of the serial
-    run, and rows and errors are taken in ``cfg.arms`` order, then subject
-    order, so a run raises the error the serial order would have raised
-    first.
+    process then forks a second helper, which gets the virtual windows
+    through the fork, and the two split the virtual arm: this process
+    trains the first half of the subjects (rounded up), the helper the
+    rest. Each repeats the arm's deterministic preparation. Where
+    ``os.fork`` does not exist every arm runs here. Every arm's work and
+    outputs are those of the serial run, and rows and errors are taken in
+    ``cfg.arms`` order, then subject order, so a run raises the error the
+    serial order would have raised first.
     """
     dataset = Dataset(cfg.dataset)
     profile = resolve_profile(cfg.profile, dataset.manifest)
@@ -757,17 +724,15 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
 
     train_arm = partial(_train_arm, cfg=cfg, plan=plan, table=table, classes=dataset.manifest.gestures,
                         classifiers_dir=out_dir / "classifiers")
-    helper = None
-    main_share = None  # the virtual arm's subjects this process trains, when the helper trains the rest
+    subjects = plan.recognition_subjects
+    half = (len(subjects) + 1) // 2  # the virtual arm's subjects this process trains when it splits
+    split = need_virtual and half < len(subjects) and hasattr(os, "fork") and _one_blas_thread()
     units = [(arm, None) for arm in cfg.arms if arm != "virtual_multimodal"]
-    if need_virtual and units and hasattr(os, "fork"):
-        half = (len(plan.recognition_subjects) + 1) // 2
-        if half < len(plan.recognition_subjects) and _one_blas_thread():
-            main_share = plan.recognition_subjects[:half]
-            units.append(("virtual_multimodal", plan.recognition_subjects[half:]))
-        helper = _ArmHelper(units, train_arm, table.imu.shape if main_share else None)
+    helpers = []
     per_subject = {}
     try:
+        if need_virtual and units and hasattr(os, "fork"):
+            helpers.append(_ArmHelper(units, train_arm))
         # Generator training on its cohort, then virtual-window synthesis.
         virtual = None
         if need_virtual:
@@ -778,19 +743,21 @@ def run_experiment(cfg: ExperimentConfig) -> MetricsReport:
             bundle, _, _ = train_generator_bundle(gan_table.semg_gan, gan_table.imu, gan_cfg, out_dir / "gan")
             semg_for_generator = normalize_generator_inputs(bundle, table.semg_gan).astype(np.float32)
             virtual = generate_virtual(bundle, semg_for_generator).astype(np.float32)
-            if main_share:
-                helper.send_virtual(virtual)
+            if split:
+                helpers.append(_ArmHelper([("virtual_multimodal", subjects[half:])],
+                                          partial(train_arm, virtual=virtual)))
 
         for arm in cfg.arms:
-            if arm == "virtual_multimodal" and main_share:
-                per_subject[arm] = train_arm(arm, virtual=virtual, subjects=main_share)
-                per_subject[arm].update(helper.rows(arm))
-            elif helper is not None and arm in helper.arms:
-                per_subject[arm] = helper.rows(arm)
-            else:
+            helper = next((h for h in helpers if arm in h.arms), None)
+            if helper is None:
                 per_subject[arm] = train_arm(arm, virtual=virtual)
+            elif arm == "virtual_multimodal":
+                per_subject[arm] = train_arm(arm, virtual=virtual, subjects=subjects[:half])
+                per_subject[arm].update(helper.rows(arm))
+            else:
+                per_subject[arm] = helper.rows(arm)
     finally:
-        if helper is not None:
+        for helper in helpers:
             helper.close()
 
     summary = _summarize(per_subject)

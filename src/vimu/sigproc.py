@@ -288,31 +288,42 @@ def apply_norm(data, stats: ChannelStats, mode: str) -> np.ndarray:
     """Normalize per channel: ``minmax_pm1`` to [-1, 1] or ``zscore``.
 
     Degenerate channels (max == min, or std == 0) map to zero. ``data`` is
-    any array whose last axis is channels; returns a float64 array.
+    any array whose last axis is channels; returns a new float64 array.
     """
-    arr = np.asarray(data, dtype=np.float64)
-    _check_channels(stats, arr.shape[-1])
+    out = np.array(data, dtype=np.float64)
+    _check_channels(stats, out.shape[-1])
     if mode == "minmax_pm1":
-        span = stats.maximum - stats.minimum
-        safe = np.where(span == 0, 1.0, span)
-        out = 2.0 * (arr - stats.minimum) / safe - 1.0
-        return np.where(span == 0, 0.0, out)
-    if mode == "zscore":
-        safe = np.where(stats.std == 0, 1.0, stats.std)
-        out = (arr - stats.mean) / safe
-        return np.where(stats.std == 0, 0.0, out)
-    raise ValueError(f"unknown normalization mode {mode!r}")
+        scale = stats.maximum - stats.minimum
+        out -= stats.minimum
+        out *= 2.0
+        out /= np.where(scale == 0, 1.0, scale)
+        out -= 1.0
+    elif mode == "zscore":
+        scale = stats.std
+        out -= stats.mean
+        out /= np.where(scale == 0, 1.0, scale)
+    else:
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    if np.any(scale == 0):
+        out[..., scale == 0] = 0.0
+    return out
 
 
 def invert_norm(arr: np.ndarray, stats: ChannelStats, mode: str) -> np.ndarray:
-    """Map normalized values back to physical units (degenerate -> mean/min)."""
-    arr = np.asarray(arr, dtype=np.float64)
-    _check_channels(stats, arr.shape[-1])
+    """Map normalized values back to physical units (degenerate -> mean/min); a new float64 array."""
+    out = np.array(arr, dtype=np.float64)
+    _check_channels(stats, out.shape[-1])
     if mode == "minmax_pm1":
-        return (arr + 1.0) / 2.0 * (stats.maximum - stats.minimum) + stats.minimum
-    if mode == "zscore":
-        return arr * stats.std + stats.mean
-    raise ValueError(f"unknown normalization mode {mode!r}")
+        out += 1.0
+        out /= 2.0
+        out *= stats.maximum - stats.minimum
+        out += stats.minimum
+    elif mode == "zscore":
+        out *= stats.std
+        out += stats.mean
+    else:
+        raise ValueError(f"unknown normalization mode {mode!r}")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -339,14 +339,21 @@ class TestArmHelper:
     ])
     def test_forks_only_beside_a_generator(self, arms, forks, dataset_dir, tmp_path, capsys,
                                            monkeypatch):
-        calls = []
+        # ``forks`` with OpenBLAS unset; pinned to one thread, a second helper
+        # trains the virtual arm's second subject, also in a virtual-only run.
         fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
-        code, err = self.run(dataset_dir, tmp_path, capsys, "out", arms)
-        assert (code, err) == (0, "")
-        assert len(calls) == forks
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert sorted(report["per_subject"]) == sorted(arms.split(","))
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for blas, expected in (("unset", forks), ("pinned", forks + ("virtual_multimodal" in arms))):
+            if blas == "pinned":
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+            calls = []
+            monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+            code, err = self.run(dataset_dir, tmp_path, capsys, blas, arms)
+            assert (code, err) == (0, "")
+            assert len(calls) == expected, blas
+            report = json.loads((tmp_path / blas / "report.json").read_text())
+            assert sorted(report["per_subject"]) == sorted(arms.split(","))
 
     def test_helper_arm_divergence_exits_like_the_serial_run(self, dataset_dir, tmp_path, capsys,
                                                                monkeypatch):

@@ -289,6 +289,20 @@ class TestSynthetic:
             # the action's first frame is sin(0) = 0; every later one is active
             assert env[action][0] == 0.0 and np.all(env[action][1:] > 0.0)
 
+    @pytest.mark.parametrize("rate", [333.3, 200.5])
+    def test_the_trim_keeps_the_whole_action_at_a_non_integer_rate(self, tmp_path, rate):
+        # Each frame's value is its index, so the trim returns the indices it keeps.
+        cfg = SynthConfig(subjects=1, gestures=2, trials=2, sample_rate_hz=rate)
+        trim = synthetic_profile(synth_generate(cfg, tmp_path / "ds")).trim
+        for gesture in range(cfg.gestures):
+            env = vdata.synth_envelope(cfg, gesture, subject=1, trial=1)
+            indices = MultichannelSeries(np.arange(len(env), dtype=np.float64)[:, None], rate, "semg")
+            record = TrialRecord(semg=indices, imu=None, gesture_id=gesture, subject_id=1, trial_id=1)
+            kept = trim_trial(record, trim.rest_lead_s, trim.action_s).semg.data[:, 0].astype(int)
+            # the action's first frame is sin(0) = 0
+            assert env[kept[0]] == 0.0
+            assert np.array_equal(np.flatnonzero(env), kept[1:])
+
     def test_class_conditional_motion_means_differ(self):
         cfg = SynthConfig()
         patterns, mixing, _ = synth_latents(cfg)
@@ -317,7 +331,7 @@ class TestSynthetic:
                     pass
 
 
-# 2 x 2 x 2 = 8 trials: three writer threads take 3, 3 and 2 of them
+# 2 x 2 x 2 = 8 trials: more than one for each of three writer threads
 THREADED = SynthConfig(subjects=2, gestures=2, trials=2, trial_seconds=4.0, seed=4)
 
 
@@ -336,6 +350,9 @@ class TestThreadedWriter:
 
             def recording(path, record):
                 writers.add(threading.current_thread().name)
+                # The pool starts a thread per key submitted while none is
+                # idle; a write that takes a while keeps every thread in use.
+                time.sleep(0.05)
                 write(path, record)
 
             _cpus(monkeypatch, workers)
@@ -353,8 +370,8 @@ class TestThreadedWriter:
     @pytest.mark.parametrize("slow", ["s01_g00_t02.gst", "s01_g01_t01.gst"],
                              ids=["first_key_fails_last", "first_key_fails_first"])
     def test_first_failing_trial_wins_and_nothing_is_left_behind(self, slow, tmp_path, monkeypatch):
-        # Keys 1 and 2 (s01_g00_t02, s01_g01_t01) go to different threads and
-        # both fail; the one named ``slow`` fails a moment after the other.
+        # Keys 1 and 2 (s01_g00_t02, s01_g01_t01) both fail; the one named
+        # ``slow`` fails a moment after the other.
         write = vdata.write_trial
         messages = {"s01_g00_t02.gst": "key 1 failed", "s01_g01_t01.gst": "key 2 failed"}
 

@@ -464,8 +464,22 @@ class TestRunExperiment:
         helper = pid_of["unimodal", 1]
         assert helper != here
         assert {pid_of[arm, s] for arm in ("unimodal", "real_multimodal") for s in (1, 2, 3)} == {helper}
-        assert [pid_of["virtual_multimodal", s] for s in (1, 2, 3)] == [here, here,
-                                                                        helper if split else here]
+        assert [pid_of["virtual_multimodal", s] for s in (1, 2)] == [here, here]
+        if split:  # a second helper, forked once the virtual windows exist
+            assert pid_of["virtual_multimodal", 3] not in (here, helper)
+        else:
+            assert pid_of["virtual_multimodal", 3] == here
+
+    def test_a_pinned_virtual_only_run_splits_like_the_serial_run(self, three_subject_dataset, tmp_path,
+                                                                  monkeypatch):
+        # With no generator-free arm beside it the virtual arm still splits 2 + 1.
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        _, classifiers = self.forked_and_serial(three_subject_dataset, tmp_path, monkeypatch,
+                                                arms=("virtual_multimodal",))
+        assert len(calls) == 1
+        assert len(classifiers) == 3 * 2  # subjects x files
 
     def test_all_arms_report_deltas(self, tiny_dataset, tmp_path):
         cfg = tiny_config(tiny_dataset, tmp_path / "out3",

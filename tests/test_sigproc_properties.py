@@ -141,3 +141,45 @@ def test_filters_reject_a_series_shorter_than_the_decimation(frames):
                 lambda: sigproc.butter_lowpass1(s, 10.0, 6), lambda: sigproc.decimate(s, 6)):
         with pytest.raises(ValueError, match=f"series of {frames} frames is shorter than factor 6"):
             run()
+
+
+def _reference_norm(data, stats, mode):
+    """The whole-array expressions apply_norm computed before it worked in place."""
+    arr = np.asarray(data, dtype=np.float64)
+    if mode == "minmax_pm1":
+        span = stats.maximum - stats.minimum
+        safe = np.where(span == 0, 1.0, span)
+        return np.where(span == 0, 0.0, 2.0 * (arr - stats.minimum) / safe - 1.0)
+    safe = np.where(stats.std == 0, 1.0, stats.std)
+    return np.where(stats.std == 0, 0.0, (arr - stats.mean) / safe)
+
+
+def _reference_inverse(arr, stats, mode):
+    """The whole-array expressions invert_norm computed before it worked in place."""
+    arr = np.asarray(arr, dtype=np.float64)
+    if mode == "minmax_pm1":
+        return (arr + 1.0) / 2.0 * (stats.maximum - stats.minimum) + stats.minimum
+    return arr * stats.std + stats.mean
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3), channels=st.integers(1, 5),
+       dtype=st.sampled_from([np.float32, np.float64]), mode=st.sampled_from(["zscore", "minmax_pm1"]),
+       constant=st.lists(st.booleans(), min_size=5, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_in_place_normalization_equals_the_whole_array_expressions(shape, channels, dtype, mode,
+                                                                  constant, seed):
+    # Fitted on data whose constant channels are degenerate, applied to
+    # fresh data: every byte of both directions matches the reference.
+    rng = np.random.default_rng(seed)
+    fit = (5.0 * rng.standard_normal((*shape, channels))).astype(dtype)
+    fit[..., np.array(constant[:channels])] = dtype(1.5)
+    stats = sigproc.fit_stats(fit)
+    data = (5.0 * rng.standard_normal((*shape, channels))).astype(dtype)
+    before = data.copy()
+    out = sigproc.apply_norm(data, stats, mode)
+    assert out.dtype == np.float64
+    assert out.tobytes() == _reference_norm(data, stats, mode).tobytes()
+    back = sigproc.invert_norm(out.astype(dtype), stats, mode)
+    assert back.dtype == np.float64
+    assert back.tobytes() == _reference_inverse(out.astype(dtype), stats, mode).tobytes()
+    assert data.tobytes() == before.tobytes()  # the input is left as it was

@@ -22,6 +22,11 @@ two such tables shows whether a change moved any output byte.
 
 With ``--compare PARENT.json`` it also prints every path that is missing,
 extra or different against that earlier table, and exits 1 if there is any.
+
+Only a run with OpenBLAS at one thread (``OPENBLAS_NUM_THREADS=1``) splits
+the virtual arm between this process and a forked helper; with it unset
+every virtual subject trains here. Run the tool both ways to show that a
+change keeps the outputs of both paths.
 """
 import argparse
 import hashlib
