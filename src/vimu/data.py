@@ -58,7 +58,7 @@ class TrialRecord:
 
 
 def write_trial(path, record: TrialRecord):
-    """Serialize a trial; rejects empty payloads before touching the file."""
+    """Serialize a trial; rejects empty payloads and samples beyond float32 before touching the file."""
     if record.semg.frames < 1:
         raise DataError("refusing to write a zero-frame trial")
     flags = _FLAG_SEMG
@@ -73,9 +73,13 @@ def write_trial(path, record: TrialRecord):
     body += struct.pack("<I", record.semg.channel_count)
     if record.imu is not None:
         body += struct.pack("<I", record.imu.channel_count)
-    body += np.ascontiguousarray(record.semg.data, dtype="<f4").tobytes()
-    if record.imu is not None:
-        body += np.ascontiguousarray(record.imu.data, dtype="<f4").tobytes()
+    try:
+        with np.errstate(over="raise"):
+            body += np.ascontiguousarray(record.semg.data, dtype="<f4").tobytes()
+            if record.imu is not None:
+                body += np.ascontiguousarray(record.imu.data, dtype="<f4").tobytes()
+    except FloatingPointError:
+        raise DataError(f"refusing to write {path}: a sample lies beyond the float32 range") from None
     body += struct.pack("<I", zlib.crc32(body))
     with open(path, "wb") as fh:
         fh.write(body)

@@ -2,13 +2,11 @@
 
 The generator upsamples the channel axis with three transposed convolutions
 (stride (1, 2) doubles the width per layer, the time axis stays put) and a
-tanh dense head sized to the target window. The discriminator runs a single
-strided convolution over the motion window. On its own that body feeds a
-sigmoid unit; ``train_gan`` builds a pair critic instead, which joins the
-convolution features with the flattened muscle window and judges the
-(muscle, motion) pair through a small dense head. Training alternates one
-discriminator step and one generator step per batch; the generator loss is
-purely adversarial.
+tanh dense head sized to the target window. The discriminator is a pair
+critic: a single strided convolution over the motion window, whose features
+join the flattened muscle window and pass a small dense head, so it judges
+(muscle, motion) pairs. Training alternates one discriminator step and one
+generator step per batch; the generator loss is purely adversarial.
 """
 from __future__ import annotations
 
@@ -97,17 +95,20 @@ PAIR_HIDDEN_UNITS = 32
 
 @dataclass(frozen=True)
 class DiscriminatorConfig(DictCodec):
-    """Geometry of the real-vs-generated critic.
+    """Geometry of the critic that judges (muscle, motion) pairs.
 
-    The motion window always passes one 3x3 stride-3 valid convolution
-    (batchnorm, leaky ReLU, dropout, flatten). With ``semg_channels`` = 0
-    the features feed a single sigmoid unit: the critic judges motion
-    windows alone. With ``semg_channels`` set it judges (muscle, motion)
-    pairs: the features join the flattened muscle window and pass a dense
-    layer of ``PAIR_HIDDEN_UNITS``, leaky ReLU and the sigmoid unit. The hidden
-    layer matters: a linear head on the joined vector scores each window
+    The motion window passes one 3x3 stride-3 valid convolution (batchnorm,
+    leaky ReLU, dropout, flatten); the features join the flattened muscle
+    window of ``semg_channels`` channels and pass a dense layer of
+    ``PAIR_HIDDEN_UNITS``, leaky ReLU and a sigmoid unit. The hidden layer
+    matters: a linear head on the joined vector scores each window
     separately (the logit is a sum of per-window terms), so it cannot tell
     a matched pair from a mismatched one.
+
+    ``semg_channels`` defaults to 0 only so that the config perfbench's
+    ``_train_generator`` saves as a record still constructs; building a
+    critic from it raises ``ConfigError``. The default goes once perfbench
+    saves the config ``train_gan`` records instead.
     """
 
     window_frames: int
@@ -123,8 +124,6 @@ class DiscriminatorConfig(DictCodec):
                 f"window {self.window_frames}x{self.imu_channels} too small for a "
                 "3x3 stride-3 valid convolution"
             )
-        if self.semg_channels < 0:
-            raise ConfigError("semg_channels must be >= 0")
 
 
 @functools.cache
@@ -140,30 +139,23 @@ def _critic_body(cfg: DiscriminatorConfig) -> tuple:
 
 @functools.cache
 def _critic_head(cfg: DiscriminatorConfig) -> tuple:
-    hidden = ()
-    if cfg.semg_channels:
-        hidden = (
-            LayerSpec("dense", "hidden", units=PAIR_HIDDEN_UNITS),
-            LayerSpec("leaky_relu", "hidden_lrelu", slope=cfg.leaky_slope),
-        )
-    return hidden + (LayerSpec("dense", "head", units=1), LayerSpec("sigmoid", "out"))
-
-
-@functools.cache
-def discriminator_layers(cfg: DiscriminatorConfig) -> tuple:
-    """Motion body, then head; a pair critic joins the muscle window in between."""
-    return _critic_body(cfg) + _critic_head(cfg)
+    return (
+        LayerSpec("dense", "hidden", units=PAIR_HIDDEN_UNITS),
+        LayerSpec("leaky_relu", "hidden_lrelu", slope=cfg.leaky_slope),
+        LayerSpec("dense", "head", units=1),
+        LayerSpec("sigmoid", "out"),
+    )
 
 
 def build_discriminator(cfg: DiscriminatorConfig, seed: int) -> ParamSet:
     """Initialize critic parameters (weights ~ N(0, 0.02)).
 
-    A pair critic's head, whose input is the motion features plus the
-    flattened muscle window, draws from a second seed derived from ``seed``.
+    The head, whose input is the motion features plus the flattened muscle
+    window, draws from a second seed derived from ``seed``.
     """
+    if cfg.semg_channels < 1:
+        raise ConfigError("the critic judges (muscle, motion) pairs: semg_channels must be >= 1")
     in_shape = (1, cfg.window_frames, cfg.imu_channels)
-    if not cfg.semg_channels:
-        return init_stack_params(discriminator_layers(cfg), in_shape, seed=seed, scheme="normal002")
     body = _critic_body(cfg)
     params = init_stack_params(body, in_shape, seed=seed, scheme="normal002")
     width = stack_output_shape(body, in_shape)[0] + cfg.window_frames * cfg.semg_channels
@@ -188,25 +180,19 @@ def discriminator_forward(cfg: DiscriminatorConfig, params: ParamSet, windows, m
                           rng=None, update_stats: bool = True, semg_windows=None) -> Tensor:
     """(n, k, c2) or (n, 1, k, c2) motion windows -> (n, 1) probabilities.
 
-    A pair critic (``cfg.semg_channels`` set) also needs the muscle windows
-    paired row by row with ``windows``, as (n, k, c1) or (n, 1, k, c1); a
-    motion-only critic takes none.
+    ``semg_windows`` are the muscle windows paired row by row with
+    ``windows``, as (n, k, c1) or (n, 1, k, c1); the critic needs them.
     """
     x = windows if isinstance(windows, Tensor) else Tensor(np.asarray(windows))
     if x.data.ndim == 3:
         x = reshape(x, (x.data.shape[0], 1, x.data.shape[1], x.data.shape[2]))
-    if not cfg.semg_channels:
-        if semg_windows is not None:
-            raise ConfigError("a motion-only critic takes no muscle windows")
-        return run_stack(discriminator_layers(cfg), params, x, mode=mode, rng=rng,
-                         update_stats=update_stats)
     if semg_windows is None:
-        raise DataError("a pair critic needs the muscle windows paired with the motion windows")
+        raise DataError("the critic needs the muscle windows paired with the motion windows")
     n = x.data.shape[0]
     cond = np.asarray(semg_windows, dtype=x.data.dtype)
     if cond.shape[0] != n or cond.shape[-2:] != (cfg.window_frames, cfg.semg_channels):
         raise DataError(
-            f"pair critic expects {n} muscle windows of {cfg.window_frames} x {cfg.semg_channels}"
+            f"the critic expects {n} muscle windows of {cfg.window_frames} x {cfg.semg_channels}"
         )
     feats = run_stack(_critic_body(cfg), params, x, mode=mode, rng=rng, update_stats=update_stats)
     joined = concat([feats, Tensor(cond.reshape(n, -1))], axis=1)

@@ -10,13 +10,17 @@ Layout (all little-endian):
         dims     rank x u32
         payload  prod(dims) float32 values, row-major
 
-Round trips are bit-exact: loading a file and saving the result reproduces
-the original bytes. Truncation anywhere inside a record is rejected. A save
-writes a temporary file and renames it into place, so a failed or killed
-save never leaves a half-written checkpoint at the path.
+Round trips are bit-exact for finite values: loading a file and saving the
+result reproduces the original bytes. A load rejects a record holding a
+non-finite value, and any length (name, dims or payload) that runs past
+the end of the file, before reading it. A save writes a temporary file and
+renames it into place, so a failed or killed save never leaves a
+half-written checkpoint at the path.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -44,21 +48,23 @@ def save_tensors(path, tensors: dict):
             fh.write(a.tobytes())
 
 
-def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise FormatError(f"truncated checkpoint while reading {what}")
-    return buf
+def _read_exact(fh, n, what, size):
+    """``n`` bytes from ``fh``; a length past the ``size``-byte file is refused unread."""
+    left = size - fh.tell()
+    if n > left:
+        raise FormatError(f"truncated checkpoint while reading {what}: {n} bytes declared, {left} left")
+    return fh.read(n)
 
 
 def load_tensors(path) -> dict:
     """Read a checkpoint back into an ordered name -> float32 array dict."""
     out = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MAGIC:
             raise FormatError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version"))
+        (version,) = struct.unpack("<H", _read_exact(fh, 2, "version", size))
         if version != VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         while True:
@@ -68,10 +74,16 @@ def load_tensors(path) -> dict:
             if len(head) != 4:
                 raise FormatError("truncated checkpoint while reading name length")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, "dims")) if rank else ()
-            count = int(np.prod(dims)) if rank else 1
-            payload = _read_exact(fh, 4 * count, f"payload of {name!r}")
-            out[name] = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+            raw_name = _read_exact(fh, name_len, "name", size)
+            try:
+                name = raw_name.decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError("checkpoint record name is not UTF-8") from None
+            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank", size))
+            dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"dims of {name!r}", size))
+            payload = _read_exact(fh, 4 * math.prod(dims), f"payload of {name!r}", size)
+            values = np.frombuffer(payload, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise FormatError(f"checkpoint record {name!r} holds a non-finite value")
+            out[name] = values.reshape(dims).copy()
     return out

@@ -22,9 +22,9 @@ from vimu.gan import (
     GanTrainConfig,
     GeneratorBundle,
     GeneratorConfig,
+    _critic_body,
     build_discriminator,
     discriminator_forward,
-    discriminator_layers,
     gan_value,
     generate_virtual,
     generator_layers,
@@ -173,10 +173,12 @@ def test_shape_laws_all_geometries():
         assert widths == [(32, k, 2 * c1), (16, k, 4 * c1), (1, k, 8 * c1)], name
         assert shape == (k * c2,), name
 
-        disc_cfg = DiscriminatorConfig(k, c2)
-        conv_shape = stack_output_shape(discriminator_layers(disc_cfg)[:1], (1, k, c2))
+        disc_cfg = DiscriminatorConfig(k, c2, semg_channels=c1)
+        conv_shape = stack_output_shape(_critic_body(disc_cfg)[:1], (1, k, c2))
         assert conv_shape == (16, (k - 3) // 3 + 1, (c2 - 3) // 3 + 1), name
-        head = stack_output_shape(discriminator_layers(disc_cfg), (1, k, c2))
+        critic = build_discriminator(disc_cfg, seed=0)
+        head = discriminator_forward(disc_cfg, critic, np.zeros((1, k, c2)), mode="eval",
+                                     semg_windows=np.zeros((1, k, c1))).data.shape[1:]
         assert head == (1,), name
 
         for channels in (c1, c2):
@@ -193,17 +195,20 @@ def test_gan_objective_sanity():
     assert abs(gan_value([0.5], [0.5]) - (-2.0 * math.log(2.0))) < 1e-9
 
     rng = np.random.default_rng(7)
-    k, c2, n = 10, 3, 32
+    k, c1, c2, n = 10, 4, 3, 32
     real = np.clip(0.6 + 0.1 * rng.standard_normal((n, k, c2)), -1, 1).astype(np.float32)
     fake = np.clip(-0.6 + 0.1 * rng.standard_normal((n, k, c2)), -1, 1).astype(np.float32)
-    dcfg = DiscriminatorConfig(k, c2)
+    semg = rng.standard_normal((n, k, c1)).astype(np.float32)  # beside both real and fake
+    dcfg = DiscriminatorConfig(k, c2, semg_channels=c1)
     disc = build_discriminator(dcfg, seed=2)
     adam = AdamState(learning_rate=2e-4)
 
     def outputs():
         mask_rng = np.random.default_rng(99)
-        dr = discriminator_forward(dcfg, disc, real, mode="train", rng=mask_rng, update_stats=False)
-        df = discriminator_forward(dcfg, disc, fake, mode="train", rng=mask_rng, update_stats=False)
+        dr = discriminator_forward(dcfg, disc, real, mode="train", rng=mask_rng, update_stats=False,
+                                   semg_windows=semg)
+        df = discriminator_forward(dcfg, disc, fake, mode="train", rng=mask_rng, update_stats=False,
+                                   semg_windows=semg)
         return dr, df
 
     values = []

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from vimu.codec import write_json
 from vimu.errors import FormatError
-from vimu.nn.checkpoint import MAGIC, load_tensors, save_tensors
+from vimu.nn.checkpoint import MAGIC, VERSION, load_tensors, save_tensors
 
 
 def sample_tensors():
@@ -54,6 +56,41 @@ def test_truncation_rejected_anywhere(tmp_path, cut):
     trunc.write_bytes(blob[:cut])
     with pytest.raises(FormatError, match="truncated"):
         load_tensors(trunc)
+
+
+def _record(name_len, name, dims, payload=b""):
+    return (struct.pack("<I", name_len) + name + struct.pack("<I", len(dims))
+            + struct.pack(f"<{len(dims)}I", *dims) + payload)
+
+
+@pytest.mark.parametrize("record", [
+    _record(0xFFFFFFFF, b"w", ()),                                # name longer than the file
+    _record(1, b"w", (0xFFFFFFFF,), b"\x00" * 8),                 # 16 GiB payload declared
+    _record(1, b"w", (0xFFFFFFFF,) * 3, b"\x00" * 8),             # product overflows int64
+    struct.pack("<I", 1) + b"w" + struct.pack("<I", 0xFFFFFFFF),  # rank past the end
+], ids=["name", "payload", "int64 overflow", "rank"])
+def test_declared_length_past_the_file_rejected_unread(tmp_path, record):
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<H", VERSION) + record)
+    with pytest.raises(FormatError, match="truncated.*declared"):
+        load_tensors(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_record_rejected_by_name(tmp_path, bad):
+    tensors = sample_tensors()
+    tensors["head.w"][3, 2] = bad
+    path = tmp_path / "nan.ckpt"
+    save_tensors(path, tensors)
+    with pytest.raises(FormatError, match="'head.w' holds a non-finite value"):
+        load_tensors(path)
+
+
+def test_name_not_utf8_rejected(tmp_path):
+    path = tmp_path / "name.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<H", VERSION) + _record(1, b"\xff", (), b"\x00" * 4))
+    with pytest.raises(FormatError, match="UTF-8"):
+        load_tensors(path)
 
 
 def test_float64_input_stored_as_float32(tmp_path):

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import signal
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from vimu.data import (
 from vimu.errors import DataError, DivergenceError
 from vimu.fusion import ClfTrainConfig
 from vimu.gan import GanTrainConfig, load_discriminator
+from vimu.nn.checkpoint import load_tensors, save_tensors
 from vimu.pipeline import (
     ClassifierSpec,
     derive_seed,
@@ -505,6 +507,27 @@ def _text_file(directory):
     return str(path)
 
 
+def _first_record_dims(*dims):
+    """Make the checkpoint's first record declare ``dims``; its payload stays as it was."""
+    def corrupt(path):
+        blob = path.read_bytes()
+        (name_len,) = struct.unpack_from("<I", blob, 6)
+        at = 10 + name_len
+        (rank,) = struct.unpack_from("<I", blob, at)
+        path.write_bytes(blob[:at] + struct.pack(f"<{1 + len(dims)}I", len(dims), *dims)
+                         + blob[at + 4 + 4 * rank:])
+    return corrupt
+
+
+def _nan_weight(name):
+    """Set the first value of the checkpoint's ``name`` record to NaN."""
+    def corrupt(path):
+        tensors = load_tensors(path)
+        tensors[name].flat[0] = np.nan
+        save_tensors(path, tensors)
+    return corrupt
+
+
 # A report as `vimu run` writes it, for the rows that change one key.
 REPORT = {
     "vimu_report": 1, "per_subject": {"unimodal": {"1": {"window_accuracy": 0.5,
@@ -614,6 +637,13 @@ BAD_INPUTS = {
                                           "--gestures", "2", "--trials", "1"], 1, "trial_seconds"),
     "sample rate zero": ("synth", ["--rate", "0", "--subjects", "1", "--gestures", "2",
                                    "--trials", "1"], 1, "sample_rate_hz"),
+    "classifier.ckpt declares 2**32 - 1 values": ("classifier.ckpt", _first_record_dims(0xFFFFFFFF), 2,
+                                                  "bytes declared"),
+    "classifier.ckpt dims overflow int64": ("classifier.ckpt", _first_record_dims(*[0xFFFFFFFF] * 3), 2,
+                                            "bytes declared"),
+    "classifier weight NaN": ("classifier.ckpt", _nan_weight("semg.conv1.w"), 2,
+                              "'semg.conv1.w' holds a non-finite value"),
+    "generator weight NaN": ("generator.ckpt", _nan_weight("head.w"), 2, "'head.w' holds a non-finite value"),
 }
 
 
@@ -640,19 +670,22 @@ def test_bad_input_exit_codes(target, corrupt, code, needle, dataset_dir, window
         path.write_text(json.dumps(corrupt(None)))
         argv = ["report", "--report", str(path), "--out", out]
     else:
-        source = {"generator.json": gan_bundle, "classifier.json": clf_bundle,
-                  "manifest.json": dataset_dir}[target]
+        kind = target.split(".")[0]
+        source = {"generator": gan_bundle, "classifier": clf_bundle, "manifest": dataset_dir}[kind]
         copy = tmp_path / "copy"
         shutil.copytree(source, copy)
-        doc = corrupt(json.loads((copy / target).read_text()))
-        (copy / target).write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if target.endswith(".ckpt"):
+            corrupt(copy / target)
+        else:
+            doc = corrupt(json.loads((copy / target).read_text()))
+            (copy / target).write_text(doc if isinstance(doc, str) else json.dumps(doc))
         argv = {
-            "generator.json": ["generate-imu", "--generator", str(copy), "--windows", str(windows_file),
-                               "--out", out],
-            "classifier.json": ["evaluate", "--model", str(copy), "--windows", str(windows_file),
-                                "--out", out],
-            "manifest.json": ["preprocess", "--dataset", str(copy), "--out", out],
-        }[target]
+            "generator": ["generate-imu", "--generator", str(copy), "--windows", str(windows_file),
+                          "--out", out],
+            "classifier": ["evaluate", "--model", str(copy), "--windows", str(windows_file),
+                           "--out", out],
+            "manifest": ["preprocess", "--dataset", str(copy), "--out", out],
+        }[kind]
     capsys.readouterr()
     assert main(argv) == code
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -96,6 +97,17 @@ class TestTrialBinary:
         bad.write_bytes(b"XXXX" + b"\x00" * 40)
         with pytest.raises(FormatError, match="magic"):
             read_trial(bad, 200.0)
+
+    @pytest.mark.parametrize("stream", ["semg", "imu"])
+    def test_sample_beyond_float32_rejected_at_write(self, tmp_path, stream):
+        rec = make_record(frames=20)
+        series = getattr(rec, stream)
+        data = series.data.copy()
+        data[5, 1] = -1e39  # finite in float64, inf in float32
+        path = tmp_path / "t.gst"
+        with pytest.raises(DataError, match="float32 range"):
+            write_trial(path, replace(rec, **{stream: series.with_data(data)}))
+        assert not path.exists()
 
     def test_zero_frame_trial_rejected_at_write(self, tmp_path):
         with pytest.raises(DataError):

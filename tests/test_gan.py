@@ -16,7 +16,6 @@ from vimu.gan import (
     build_generator,
     data_fingerprint,
     discriminator_forward,
-    discriminator_layers,
     gan_value,
     generate_virtual,
     generator_forward,
@@ -99,16 +98,16 @@ class TestBuilders:
 
     @pytest.mark.parametrize("name", sorted(TABLE_GEOMETRIES))
     def test_discriminator_shapes_for_all_geometries(self, name):
-        _, c2 = TABLE_GEOMETRIES[name]
-        cfg = DiscriminatorConfig(20, c2)
+        c1, c2 = TABLE_GEOMETRIES[name]
+        cfg = DiscriminatorConfig(20, c2, semg_channels=c1)
         expect_h = (20 - 3) // 3 + 1
         expect_w = (c2 - 3) // 3 + 1
-        shape = stack_output_shape(discriminator_layers(cfg)[:1], (1, 20, c2))
+        shape = stack_output_shape(vimu.gan._critic_body(cfg)[:1], (1, 20, c2))
         assert shape == (16, expect_h, expect_w)
 
     def test_db2_discriminator_flatten(self):
-        cfg = DiscriminatorConfig(20, 36)
-        shape = stack_output_shape(discriminator_layers(cfg)[:5], (1, 20, 36))
+        cfg = DiscriminatorConfig(20, 36, semg_channels=12)
+        shape = stack_output_shape(vimu.gan._critic_body(cfg)[:5], (1, 20, 36))
         assert shape == (16 * 6 * 12,)
 
     def test_geometry_too_small_rejected(self):
@@ -116,10 +115,12 @@ class TestBuilders:
             DiscriminatorConfig(2, 3)
 
     def test_discriminator_output_in_unit_interval(self):
-        cfg = DiscriminatorConfig(10, 3)
+        cfg = DiscriminatorConfig(10, 3, semg_channels=4)
         params = build_discriminator(cfg, seed=0)
-        x = 100.0 * np.random.default_rng(0).standard_normal((5, 1, 10, 3)).astype(np.float32)
-        out = discriminator_forward(cfg, params, x, mode="eval")
+        rng = np.random.default_rng(0)
+        x = 100.0 * rng.standard_normal((5, 1, 10, 3)).astype(np.float32)
+        semg = 100.0 * rng.standard_normal((5, 1, 10, 4)).astype(np.float32)
+        out = discriminator_forward(cfg, params, x, mode="eval", semg_windows=semg)
         assert np.all(out.data > 0) and np.all(out.data < 1)
 
 
@@ -183,7 +184,7 @@ class TestTraining:
         # are taken around each step individually
         semg, imu = make_pairs(n=32)
         cfg = GeneratorConfig(10, 4, 3, tconv_maps=(4, 2, 1))
-        dcfg = DiscriminatorConfig(10, 3)
+        dcfg = DiscriminatorConfig(10, 3, semg_channels=4)
         gen = build_generator(cfg, seed=0)
         disc = build_discriminator(dcfg, seed=1)
         adam_d = AdamState()
@@ -193,8 +194,10 @@ class TestTraining:
 
         with no_grad():
             fake = generator_forward(cfg, gen, semg[:16], mode="train", update_stats=False).data
-        d_real = discriminator_forward(dcfg, disc, imu[:16][:, None], mode="train", rng=rng)
-        d_fake = discriminator_forward(dcfg, disc, Tensor(fake), mode="train", rng=rng)
+        d_real = discriminator_forward(dcfg, disc, imu[:16][:, None], mode="train", rng=rng,
+                                       semg_windows=semg[:16])
+        d_fake = discriminator_forward(dcfg, disc, Tensor(fake), mode="train", rng=rng,
+                                       semg_windows=semg[:16])
         loss = add(bce_loss(d_real, np.ones_like(d_real.data)),
                    bce_loss(d_fake, np.zeros_like(d_fake.data)))
         backprop(loss, disc)
@@ -204,7 +207,7 @@ class TestTraining:
     def test_generator_step_leaves_discriminator_untouched(self):
         semg, imu = make_pairs(n=32)
         cfg = GeneratorConfig(10, 4, 3, tconv_maps=(4, 2, 1))
-        dcfg = DiscriminatorConfig(10, 3)
+        dcfg = DiscriminatorConfig(10, 3, semg_channels=4)
         gen = build_generator(cfg, seed=0)
         disc = build_discriminator(dcfg, seed=1)
         adam_g = AdamState()
@@ -212,7 +215,7 @@ class TestTraining:
         disc_before = state_checksum(disc)
         fake = generator_forward(cfg, gen, semg[:16], mode="train")
         d_on_fake = discriminator_forward(dcfg, disc, fake, mode="train", rng=rng,
-                                          update_stats=False)
+                                          update_stats=False, semg_windows=semg[:16])
         loss = bce_loss(d_on_fake, np.ones_like(d_on_fake.data))
         backprop(loss, gen)
         adam_step(adam_g, gen)
@@ -222,19 +225,20 @@ class TestTraining:
         # frozen generator output vs real windows, fixed dropout masks:
         # ten optimization steps monotonically raise the adversarial value
         rng = np.random.default_rng(7)
-        k, c2, n = 10, 3, 32
+        k, c1, c2, n = 10, 4, 3, 32
         real = np.clip(0.6 + 0.1 * rng.standard_normal((n, k, c2)), -1, 1).astype(np.float32)
         fake = np.clip(-0.6 + 0.1 * rng.standard_normal((n, k, c2)), -1, 1).astype(np.float32)
-        dcfg = DiscriminatorConfig(k, c2)
+        semg = rng.standard_normal((n, k, c1)).astype(np.float32)  # beside both real and fake
+        dcfg = DiscriminatorConfig(k, c2, semg_channels=c1)
         disc = build_discriminator(dcfg, seed=2)
         adam = AdamState(learning_rate=2e-4)
 
         def value():
             mask_rng = np.random.default_rng(99)
             dr = discriminator_forward(dcfg, disc, real, mode="train", rng=mask_rng,
-                                       update_stats=False)
+                                       update_stats=False, semg_windows=semg)
             df = discriminator_forward(dcfg, disc, fake, mode="train", rng=mask_rng,
-                                       update_stats=False)
+                                       update_stats=False, semg_windows=semg)
             return dr, df
 
         values = []
@@ -277,7 +281,6 @@ class TestTraining:
     def test_critic_inputs_checked(self):
         semg, imu = make_pairs(n=32)
         pair_cfg = DiscriminatorConfig(10, 3, semg_channels=4)
-        motion_cfg = DiscriminatorConfig(10, 3)
         pair = build_discriminator(pair_cfg, seed=0)
         out = discriminator_forward(pair_cfg, pair, imu, mode="eval", semg_windows=semg)
         assert out.data.shape == (32, 1)
@@ -285,9 +288,8 @@ class TestTraining:
             discriminator_forward(pair_cfg, pair, imu, mode="eval")
         with pytest.raises(DataError):
             discriminator_forward(pair_cfg, pair, imu, mode="eval", semg_windows=semg[:16])
-        with pytest.raises(ConfigError):
-            discriminator_forward(motion_cfg, build_discriminator(motion_cfg, seed=0), imu,
-                                  mode="eval", semg_windows=semg)
+        with pytest.raises(ConfigError, match="semg_channels"):
+            build_discriminator(DiscriminatorConfig(10, 3), seed=0)
 
     def test_divergent_loss_raises_with_epoch(self):
         semg, imu = make_pairs()
